@@ -13,9 +13,10 @@
 //! experiment (writes `BENCH_cache.json`); `--f8` runs only the F8
 //! shared-world contention experiment (writes `BENCH_contention.json`);
 //! `--f9` runs only the F9 fleet-scale experiment (writes
-//! `BENCH_scale.json` — populations × threads with peak-RSS curves; each
-//! cell re-executes this binary via the internal `--f9-cell` mode so its
-//! RSS high-water mark is measured in a fresh process).
+//! `BENCH_scale.json` — populations × threads with peak-RSS curves, plus
+//! a shared-topology column of one-user islands; each cell re-executes
+//! this binary via the internal `--f9-cell` mode so its RSS high-water
+//! mark is measured in a fresh process).
 //! `--f10` runs only the F10 fleet-telemetry experiment (writes
 //! `BENCH_telemetry.json`); `--f11` runs only the F11 durable-storage
 //! experiment (writes `BENCH_db.json` — WAL group commit × fsync cost,
@@ -273,9 +274,11 @@ fn main() {
     // Hidden subprocess mode: run exactly one F9 grid cell in this
     // process (fresh RSS high-water mark) and print it as one JSON line.
     if let Some(at) = args.iter().position(|a| a == "--f9-cell") {
-        let users: u64 = args[at + 1].parse().expect("--f9-cell <users> <threads>");
-        let threads: usize = args[at + 2].parse().expect("--f9-cell <users> <threads>");
-        println!("{}", scale_experiment::run_cell(users, threads).to_json());
+        let usage = "--f9-cell <users> <threads> [shared]";
+        let users: u64 = args[at + 1].parse().expect(usage);
+        let threads: usize = args[at + 2].parse().expect(usage);
+        let shared = args.get(at + 3).is_some_and(|a| a == "shared");
+        println!("{}", scale_experiment::run_cell(users, threads, shared).to_json());
         return;
     }
     let quick = std::env::args().any(|a| a == "--quick");

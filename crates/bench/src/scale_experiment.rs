@@ -8,6 +8,15 @@
 //! engine events per second, transactions per second, and peak resident
 //! set size — rendered as the `BENCH_scale.json` artefact.
 //!
+//! A second, shared-topology column runs the same scenario on the
+//! island engine with one user per island (cells = gateways = hosts =
+//! users), at 10 k users (plus 100 k in the full grid). That is the
+//! engine's worst case for any per-island cost that scales with the
+//! population: an O(users × islands) membership scan at 10 k islands
+//! takes 10⁸ steps, so the column keeps such a path from returning
+//! unnoticed. A one-user island never queues, so the column's digest
+//! must also equal the isolated engine's at the same population.
+//!
 //! # What an "event" is
 //!
 //! The fleet engine is analytic — there is no inner discrete-event
@@ -39,7 +48,7 @@ use std::fmt;
 use std::process::Command;
 use std::time::Instant;
 
-use mcommerce_core::{Category, FleetRunner, Scenario};
+use mcommerce_core::{Category, FleetRunner, Scenario, Topology};
 
 /// One measured grid cell.
 #[derive(Debug, Clone)]
@@ -63,13 +72,19 @@ pub struct ScaleCell {
     pub peak_rss_bytes: u64,
     /// FNV-1a 64 digest of the merged workload counters, hex.
     pub digest: String,
+    /// Islands of the shared topology the cell ran on; `None` for the
+    /// isolated engine.
+    pub islands: Option<u64>,
 }
 
 impl ScaleCell {
     /// Renders the cell as a JSON object (one line, no trailing newline).
     pub fn to_json(&self) -> String {
+        let islands = self
+            .islands
+            .map_or(String::new(), |n| format!(", \"islands\": {n}"));
         format!(
-            "{{ \"users\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \"transactions\": {}, \"tps\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}, \"peak_rss_bytes\": {}, \"digest\": \"{}\" }}",
+            "{{ \"users\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \"transactions\": {}, \"tps\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}, \"peak_rss_bytes\": {}, \"digest\": \"{}\"{} }}",
             self.users,
             self.threads,
             self.wall_secs,
@@ -79,6 +94,7 @@ impl ScaleCell {
             self.events_per_sec,
             self.peak_rss_bytes,
             self.digest,
+            islands,
         )
     }
 }
@@ -92,6 +108,10 @@ pub struct ScaleNumbers {
     pub threads: Vec<usize>,
     /// Measured cells, population-major then thread order.
     pub cells: Vec<ScaleCell>,
+    /// Populations of the shared-topology column (one user per island).
+    pub shared_populations: Vec<u64>,
+    /// The shared-topology cells, population-major then thread order.
+    pub shared_cells: Vec<ScaleCell>,
 }
 
 impl ScaleNumbers {
@@ -100,11 +120,20 @@ impl ScaleNumbers {
         let populations: Vec<String> = self.populations.iter().map(u64::to_string).collect();
         let threads: Vec<String> = self.threads.iter().map(usize::to_string).collect();
         let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.to_json())).collect();
+        let shared_populations: Vec<String> =
+            self.shared_populations.iter().map(u64::to_string).collect();
+        let shared_cells: Vec<String> = self
+            .shared_cells
+            .iter()
+            .map(|c| format!("    {}", c.to_json()))
+            .collect();
         format!(
-            "{{\n  \"experiment\": \"F9_scale\",\n  \"populations\": [{}],\n  \"threads\": [{}],\n  \"identical_across_threads\": true,\n  \"cells\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"experiment\": \"F9_scale\",\n  \"populations\": [{}],\n  \"threads\": [{}],\n  \"identical_across_threads\": true,\n  \"cells\": [\n{}\n  ],\n  \"shared_populations\": [{}],\n  \"shared_cells\": [\n{}\n  ]\n}}\n",
             populations.join(", "),
             threads.join(", "),
             cells.join(",\n"),
+            shared_populations.join(", "),
+            shared_cells.join(",\n"),
         )
     }
 }
@@ -116,10 +145,11 @@ impl fmt::Display for ScaleNumbers {
             "{:>9} {:>7} {:>9} {:>12} {:>12} {:>12} {:>9}",
             "users", "threads", "wall s", "txns/s", "events/s", "peak RSS", "digest"
         )?;
-        for c in &self.cells {
+        for c in self.cells.iter().chain(&self.shared_cells) {
+            let islands = c.islands.map_or(String::new(), |n| format!("  ({n} islands)"));
             writeln!(
                 f,
-                "{:>9} {:>7} {:>9.3} {:>12.0} {:>12.0} {:>9.1} MB  {}",
+                "{:>9} {:>7} {:>9.3} {:>12.0} {:>12.0} {:>9.1} MB  {}{}",
                 c.users,
                 c.threads,
                 c.wall_secs,
@@ -127,6 +157,7 @@ impl fmt::Display for ScaleNumbers {
                 c.events_per_sec,
                 c.peak_rss_bytes as f64 / (1024.0 * 1024.0),
                 &c.digest,
+                islands,
             )?;
         }
         write!(f, "merged counters identical across thread counts at every population")
@@ -174,13 +205,18 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Runs one grid cell **in this process** and measures it. This is what
-/// the hidden `--f9-cell` mode of the report binary calls; the peak-RSS
-/// number is only meaningful when the process ran nothing bigger first.
-pub fn run_cell(users: u64, threads: usize) -> ScaleCell {
-    let scenario = scenario(users);
+/// Runs one grid cell **in this process** and measures it — on the
+/// isolated engine, or with `shared` on one island per user. This is
+/// what the hidden `--f9-cell` mode of the report binary calls; the
+/// peak-RSS number is only meaningful when the process ran nothing
+/// bigger first.
+pub fn run_cell(users: u64, threads: usize, shared: bool) -> ScaleCell {
+    let mut runner = FleetRunner::new(scenario(users)).threads(threads);
+    if shared {
+        runner = runner.topology(Topology::shared().cells(users).gateways(users).hosts(users));
+    }
     let started = Instant::now();
-    let run = FleetRunner::new(scenario).threads(threads).run();
+    let run = runner.run();
     let wall_secs = started.elapsed().as_secs_f64();
     let report = run.report;
     let transactions = report.summary.transactions();
@@ -197,6 +233,7 @@ pub fn run_cell(users: u64, threads: usize) -> ScaleCell {
         events_per_sec: events as f64 / wall_secs,
         peak_rss_bytes: peak_rss_bytes(),
         digest: format!("{digest:016x}"),
+        islands: shared.then_some(users),
     }
 }
 
@@ -225,18 +262,21 @@ fn parse_cell(json: &str) -> Option<ScaleCell> {
         events_per_sec: json_field(json, "events_per_sec")?.parse().ok()?,
         peak_rss_bytes: json_field(json, "peak_rss_bytes")?.parse().ok()?,
         digest: json_field(json, "digest")?.to_owned(),
+        islands: json_field(json, "islands").and_then(|n| n.parse().ok()),
     })
 }
 
 /// Runs one cell in a fresh subprocess of the current binary (hidden
 /// `--f9-cell` mode), so its peak RSS is its own. Falls back to an
 /// in-process run when re-execution is unavailable.
-fn run_cell_isolated(users: u64, threads: usize) -> ScaleCell {
+fn run_cell_isolated(users: u64, threads: usize, shared: bool) -> ScaleCell {
     let child = std::env::current_exe().ok().and_then(|exe| {
-        Command::new(exe)
-            .args(["--f9-cell", &users.to_string(), &threads.to_string()])
-            .output()
-            .ok()
+        let mut cmd = Command::new(exe);
+        cmd.args(["--f9-cell", &users.to_string(), &threads.to_string()]);
+        if shared {
+            cmd.arg("shared");
+        }
+        cmd.output().ok()
     });
     if let Some(out) = child {
         if out.status.success() {
@@ -246,40 +286,64 @@ fn run_cell_isolated(users: u64, threads: usize) -> ScaleCell {
             }
         }
     }
-    run_cell(users, threads)
+    run_cell(users, threads, shared)
 }
 
-/// Runs the full F9 grid. `quick` drops the million-user column for
-/// smoke runs; both modes assert the cross-thread identity gate.
+/// Measures `users × threads` cells on one engine, asserting the
+/// merged-counter digest is identical across thread counts at every
+/// population.
+fn sweep(populations: &[u64], threads: &[usize], shared: bool) -> Vec<ScaleCell> {
+    let mut cells = Vec::new();
+    for &users in populations {
+        let lo = cells.len();
+        for &t in threads {
+            cells.push(run_cell_isolated(users, t, shared));
+        }
+        for cell in &cells[lo + 1..] {
+            assert_eq!(
+                cells[lo].digest, cell.digest,
+                "{users} users (shared: {shared}): merged counters must be byte-identical \
+                 at every thread count",
+            );
+        }
+    }
+    cells
+}
+
+/// Runs the full F9 grid plus the shared-topology column. `quick`
+/// drops the million-user column (and the 100 k shared cells) for smoke
+/// runs; both modes assert the cross-thread identity gate.
 pub fn run(quick: bool) -> ScaleNumbers {
     let populations: Vec<u64> = if quick {
         vec![10_000, 100_000]
     } else {
         vec![10_000, 100_000, 1_000_000]
     };
+    let shared_populations: Vec<u64> = if quick {
+        vec![10_000]
+    } else {
+        vec![10_000, 100_000]
+    };
     let threads = vec![1usize, 4, 8];
-    let mut cells = Vec::new();
-    for &users in &populations {
-        let mut reference: Option<&str> = None;
-        let lo = cells.len();
-        for &t in &threads {
-            cells.push(run_cell_isolated(users, t));
-        }
-        for cell in &cells[lo..] {
-            match reference {
-                None => reference = Some(&cell.digest),
-                Some(reference) => assert_eq!(
-                    reference, cell.digest,
-                    "{} users: merged counters must be byte-identical at every thread count",
-                    users
-                ),
-            }
+    let cells = sweep(&populations, &threads, false);
+    let shared_cells = sweep(&shared_populations, &threads, true);
+    // A one-user island never queues, so the shared column must also
+    // reproduce the isolated engine's digest at the same population.
+    for shared in &shared_cells {
+        if let Some(isolated) = cells.iter().find(|c| c.users == shared.users) {
+            assert_eq!(
+                isolated.digest, shared.digest,
+                "{} users: one user per island must reproduce the isolated engine",
+                shared.users
+            );
         }
     }
     ScaleNumbers {
         populations,
         threads,
         cells,
+        shared_populations,
+        shared_cells,
     }
 }
 
@@ -289,30 +353,41 @@ mod tests {
 
     #[test]
     fn one_cell_measures_and_digests() {
-        let a = run_cell(50, 2);
+        let a = run_cell(50, 2, false);
         assert_eq!(a.users, 50);
         assert_eq!(a.transactions, 100); // two-step Commerce session
         assert_eq!(a.events, 150);
         assert!(a.wall_secs > 0.0 && a.tps > 0.0 && a.events_per_sec > 0.0);
         assert_eq!(a.digest.len(), 16);
         // The digest is a function of the merged counters alone.
-        let b = run_cell(50, 5);
+        let b = run_cell(50, 5, false);
         assert_eq!(a.digest, b.digest);
-        let c = run_cell(51, 2);
+        let c = run_cell(51, 2, false);
         assert_ne!(a.digest, c.digest);
     }
 
     #[test]
+    fn shared_cells_digest_identically_across_threads() {
+        let a = run_cell(40, 1, true);
+        assert_eq!(a.islands, Some(40));
+        assert_eq!(a.transactions, 80);
+        assert_eq!(a.digest, run_cell(40, 3, true).digest);
+    }
+
+    #[test]
     fn cell_json_round_trips() {
-        let cell = run_cell(10, 1);
+        let cell = run_cell(10, 1, false);
         let parsed = parse_cell(&cell.to_json()).expect("parses");
         assert_eq!(parsed.users, cell.users);
         assert_eq!(parsed.threads, cell.threads);
         assert_eq!(parsed.transactions, cell.transactions);
         assert_eq!(parsed.peak_rss_bytes, cell.peak_rss_bytes);
         assert_eq!(parsed.digest, cell.digest);
+        assert_eq!(parsed.islands, None);
         // to_json prints wall_secs with 6 decimals: half-ulp tolerance.
         assert!((parsed.wall_secs - cell.wall_secs).abs() <= 5e-7);
+        let shared = run_cell(10, 1, true);
+        assert_eq!(parse_cell(&shared.to_json()).expect("parses").islands, Some(10));
     }
 
     #[test]
@@ -320,7 +395,9 @@ mod tests {
         let numbers = ScaleNumbers {
             populations: vec![10, 20],
             threads: vec![1, 2],
-            cells: vec![run_cell(10, 1)],
+            cells: vec![run_cell(10, 1, false)],
+            shared_populations: vec![10],
+            shared_cells: vec![run_cell(10, 1, true)],
         };
         let json = numbers.to_json();
         for key in [
@@ -333,6 +410,9 @@ mod tests {
             "\"peak_rss_bytes\"",
             "\"digest\"",
             "\"events_per_sec\"",
+            "\"shared_populations\"",
+            "\"shared_cells\"",
+            "\"islands\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -321,12 +321,27 @@ impl Scenario {
     /// purely from the scenario seed and the user index, all through
     /// [`Scenario::spec_for_user`].
     pub fn system_for_user(&self, user: u64) -> McSystem {
-        let app = for_category(self.app);
+        self.system_around(user, self.host_for(user))
+    }
+
+    /// A fresh host with the application installed, seeded from the
+    /// scenario seed and `index`: user `index`'s private host, or island
+    /// `index`'s shared one — so a one-user island gets exactly the host
+    /// its user would own in the isolated world.
+    pub(crate) fn host_for(&self, index: u64) -> HostComputer {
         let mut host = HostComputer::new(
             Database::new(),
-            simnet::rng::sub_seed(self.seed, "fleet.host", user),
+            simnet::rng::sub_seed(self.seed, "fleet.host", index),
         );
-        app.install(&mut host);
+        for_category(self.app).install(&mut host);
+        host
+    }
+
+    /// Builds user `user`'s system around `host`: everything
+    /// [`Scenario::system_for_user`] provisions except the host itself.
+    /// The shared-world engine passes an empty placeholder here, since
+    /// it swaps the island's shared host in around every transaction.
+    pub(crate) fn system_around(&self, user: u64, host: HostComputer) -> McSystem {
         let mut system = self.spec_for_user(user).build(host);
         if !self.faults.is_empty() {
             system.set_fault_plan(self.faults.clone());
@@ -488,7 +503,7 @@ impl ShardScratch {
     }
 
     /// Attaches this scratch's memos to a freshly built system.
-    fn attach(&self, system: &mut McSystem) {
+    pub(crate) fn attach(&self, system: &mut McSystem) {
         system.attach_shard_memos(self.transcode.clone(), self.render.clone());
     }
 
@@ -564,7 +579,7 @@ impl FleetSummary {
     /// Merges per-shard workload summaries (in shard-index order) into
     /// the fleet total.
     pub fn merge(scenario: &Scenario, shards: &[WorkloadSummary]) -> FleetSummary {
-        let mut merger = FleetMerger::new();
+        let mut merger = FleetMerger::for_shards(shards.len() as u64);
         for (shard, summary) in shards.iter().enumerate() {
             merger.push(shard as u64, summary);
         }
@@ -843,7 +858,7 @@ impl FleetRunner {
         let shards = self.config.threads.clamp(1, scenario.users.max(1) as usize);
         let chunk = scenario.users.div_ceil(shards as u64).max(1);
 
-        let mut merger = FleetMerger::new();
+        let mut merger = FleetMerger::for_shards(shards as u64);
         thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(u64, WorkloadCounters)>();
             for shard in 0..shards as u64 {
@@ -903,7 +918,7 @@ impl FleetRunner {
             Done(u64, WorkloadCounters, Box<Metrics>),
         }
 
-        let mut fleet_merger = FleetMerger::new();
+        let mut fleet_merger = FleetMerger::for_shards(shards as u64);
         let mut trace_merger = TraceMerger::for_users(scenario.users);
         let mut shard_metrics: Vec<(u64, Metrics)> = Vec::new();
         thread::scope(|scope| {
@@ -994,7 +1009,8 @@ impl FleetRunner {
         // Users land in island order; the canonical trace order is the
         // global user index, same as the isolated engine. The merger's
         // reorder buffer restores it without a collect-then-sort pass.
-        let mut counters = WorkloadCounters::default();
+        // Islands are the shards of the counter fold.
+        let mut merger = FleetMerger::for_shards(islands);
         let mut stats = ContentionStats::default();
         let mut island_metrics = obs::Metrics::default();
         let mut trace_merger = self
@@ -1002,8 +1018,8 @@ impl FleetRunner {
             .traced
             .then(|| TraceMerger::for_users(scenario.users));
         let mut timeseries = self.config.telemetry_bin_ns.map(obs::Telemetry::new);
-        for outcome in outcomes {
-            counters.merge(&outcome.counters);
+        for (island, outcome) in (0..).zip(outcomes) {
+            merger.push_counters(island, outcome.counters);
             stats.merge(&outcome.stats);
             if let Some(merger) = trace_merger.as_mut() {
                 for (user, trace) in outcome.traces {
@@ -1034,7 +1050,7 @@ impl FleetRunner {
             summary: FleetSummary {
                 scenario: scenario.label(),
                 users: scenario.users,
-                workload: counters.summary(scenario.label()),
+                workload: merger.finish().summary(scenario.label()),
             },
         };
         FleetRun {

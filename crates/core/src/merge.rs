@@ -29,10 +29,14 @@ use crate::report::{WorkloadCounters, WorkloadSummary};
 /// Counter merge is associative and commutative, so the fold order
 /// cannot change the sums — the reorder buffer is what makes *gaps
 /// observable*: [`FleetMerger::finish`] panics if a shard index never
-/// arrived, instead of silently under-counting the fleet.
+/// arrived, instead of silently under-counting the fleet. A merger
+/// built with [`FleetMerger::for_shards`] also knows how many shards
+/// there are, so a missing *trailing* shard — one with no successor to
+/// leave a gap — panics too.
 #[derive(Debug, Default)]
 pub struct FleetMerger {
     next: u64,
+    expected_shards: u64,
     pending: BTreeMap<u64, WorkloadCounters>,
     counters: WorkloadCounters,
 }
@@ -41,6 +45,16 @@ impl FleetMerger {
     /// An empty merger expecting shard 0 first (in canonical order).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Like [`FleetMerger::new`], for a run of exactly `shards` shards:
+    /// [`FleetMerger::finish`] refuses to complete until all of them
+    /// arrived.
+    pub fn for_shards(shards: u64) -> Self {
+        Self {
+            expected_shards: shards,
+            ..Self::default()
+        }
     }
 
     /// Admits shard `shard`'s summary, in any arrival order.
@@ -79,12 +93,20 @@ impl FleetMerger {
     ///
     /// # Panics
     ///
-    /// If any shard index below the highest admitted one never arrived.
+    /// If any shard index below the highest admitted one never arrived,
+    /// or — for a merger built with [`FleetMerger::for_shards`] — fewer
+    /// shards arrived than expected.
     pub fn finish(self) -> WorkloadCounters {
         assert!(
             self.pending.is_empty(),
             "shards missing below index {}: merge would under-count",
             self.pending.keys().next_back().unwrap_or(&0),
+        );
+        assert!(
+            self.next >= self.expected_shards,
+            "shards missing: {} of {} arrived, merge would under-count",
+            self.next,
+            self.expected_shards,
         );
         self.counters
     }
@@ -231,6 +253,14 @@ mod tests {
     fn fleet_merger_refuses_to_finish_with_gaps() {
         let mut merger = FleetMerger::new();
         merger.push_counters(1, WorkloadCounters::default());
+        merger.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "1 of 2 arrived")]
+    fn fleet_merger_refuses_to_finish_without_its_trailing_shard() {
+        let mut merger = FleetMerger::for_shards(2);
+        merger.push_counters(0, counters_with(0));
         merger.finish();
     }
 

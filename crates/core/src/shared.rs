@@ -18,15 +18,21 @@
 //! deterministic "event exchange" degenerates to *no* exchange, by
 //! construction (DESIGN.md §2.15 and the ADR discuss the alternatives).
 //!
+//! An island finds its gateways, cells and users by arithmetic on the
+//! wiring rules (`Topology::island_members`), never by scanning the
+//! whole population, so a run costs O(users + cells + gateways) in
+//! bookkeeping however many islands there are.
+//!
 //! # Inside an island
 //!
 //! Each user still owns a per-user [`McSystem`] (their station, battery,
 //! RNG streams — seeded by user index exactly as the legacy engine
-//! does), but the *shared* pieces are swapped in around every
-//! transaction: the island's one [`HostComputer`] replaces the user's
-//! private host, and the gateway's one shared
-//! [`ContentCache`](middleware::ContentCache) replaces the user's
-//! private cache. A deterministic event queue keyed by
+//! does), but only the per-user parts are provisioned: the system is
+//! built around an empty placeholder host, because the *shared* pieces
+//! are swapped in around every transaction. The island's one
+//! [`HostComputer`] takes the placeholder's place, and the gateway's one
+//! shared [`ContentCache`](middleware::ContentCache) replaces the
+//! user's private cache. A deterministic event queue keyed by
 //! `(ready time, global user index)` decides who transacts next.
 //!
 //! The analytic transaction then executes atomically at its start time,
@@ -275,14 +281,12 @@ fn run_island(
     recorder: RecorderKind,
     telemetry_bin_ns: Option<u64>,
 ) -> IslandOutcome {
-    let users: Vec<u64> = (0..scenario.users)
-        .filter(|&u| topology.island_of_user(u, scenario.users) == island)
-        .collect();
+    let members = topology.island_members(island, scenario.users);
     let mut stats = ContentionStats {
         islands: 1,
         ..ContentionStats::default()
     };
-    if users.is_empty() {
+    if members.users.is_empty() {
         return IslandOutcome {
             counters: WorkloadCounters::default(),
             traces: Vec::new(),
@@ -297,35 +301,15 @@ fn run_island(
     // The island's shared host: same seed derivation as the legacy
     // engine gives user `island`'s private host, so a one-host,
     // one-user world is bit-identical to legacy user 0.
-    let mut shared_host = HostComputer::new(
-        Database::new(),
-        sub_seed(scenario.seed, "fleet.host", island),
-    );
-    app.install(&mut shared_host);
-    if scenario.cache.enabled && scenario.cache.host_ttl > simnet::SimDuration::ZERO {
-        shared_host.web.configure_page_cache(
-            scenario.cache.host_ttl.as_nanos(),
-            scenario.cache.byte_budget,
-        );
-    } else {
-        shared_host.web.disable_page_cache();
-    }
-    shared_host
-        .web
-        .db_mut()
-        .set_query_cache(scenario.cache.enabled);
+    let mut shared_host = scenario.host_for(island);
+    scenario.cache.apply_to_host(&mut shared_host);
     // Seed rows installed above are already durable; only live-traffic
     // commits batch under a priced policy.
     shared_host.web.db_mut().set_durability(scenario.durability);
 
     // The island's shared infrastructure, indexed locally. Local order
     // follows global index order, so resource identity is canonical.
-    let gateways: Vec<u64> = (0..topology.gateway_count())
-        .filter(|&g| topology.host_of_gateway(g) == island)
-        .collect();
-    let cells: Vec<u64> = (0..topology.cell_count())
-        .filter(|&c| gateways.contains(&topology.gateway_of_cell(c)))
-        .collect();
+    let (cells, gateways) = (&members.cells, &members.gateways);
     let mut cell_air: Vec<CellAirtime> = cells.iter().map(|_| CellAirtime::new()).collect();
     let mut gateway_cpu: Vec<FcfsServer> = gateways.iter().map(|_| FcfsServer::new()).collect();
     let mut gateway_caches: Vec<Option<ContentCache>> = gateways
@@ -348,20 +332,23 @@ fn run_island(
         IslandTelemetry::new(
             bin_ns,
             island,
-            &cells,
-            &gateways,
+            cells,
+            gateways,
             !scenario.durability.is_zero_cost(),
         )
     });
 
     // Per-user state: the private system (station, battery, RNG streams
-    // — exactly the legacy per-user build) plus the queued actions. The
-    // island owns one scratch; memo hits replay byte-identically.
+    // — exactly the legacy per-user build, around an empty placeholder
+    // host that is never served) plus the queued actions. The island
+    // owns one scratch; memo hits replay byte-identically.
     let scratch = crate::fleet::ShardScratch::new();
-    let mut states: Vec<UserState> = users
+    let mut states: Vec<UserState> = members
+        .users
         .iter()
-        .map(|&user| {
-            let mut system = scenario.system_for_user_in(user, &scratch);
+        .map(|&(user, cell)| {
+            let mut system = scenario.system_around(user, placeholder_host());
+            scratch.attach(&mut system);
             if traced {
                 system.set_recorder(match recorder {
                     RecorderKind::Ring => Recorder::ring_for_user(user),
@@ -378,15 +365,10 @@ fn run_island(
                     actions.push_back(Action::Txn(Box::new(step)));
                 }
             }
-            let cell = topology.cell_of_user(user, scenario.users);
-            let gateway = topology.gateway_of_cell(cell);
             UserState {
                 user,
-                cell: cells.iter().position(|&c| c == cell).expect("own cell"),
-                gateway: gateways
-                    .iter()
-                    .position(|&g| g == gateway)
-                    .expect("own gateway"),
+                cell,
+                gateway: members.local_gateway(topology, cell),
                 system,
                 actions,
                 retry_rng: (!scenario.retry.is_none())
@@ -491,6 +473,14 @@ fn run_island(
         stats,
         telemetry: telemetry.map(|tele| tele.t),
     }
+}
+
+/// The host every island user's own system is built around. The engine
+/// swaps the island's shared host in before each transaction and back
+/// out after it, so this one is only ever parked: it needs no database
+/// rows, no application programs and no seed of its own.
+fn placeholder_host() -> HostComputer {
+    HostComputer::new(Database::new(), 0)
 }
 
 /// `(hits, lookups)` of a shared gateway cache slot (zeros when the

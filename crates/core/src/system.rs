@@ -181,6 +181,19 @@ impl CachePolicy {
         self.gateway_ttl = ttl;
         self
     }
+
+    /// Configures `host`'s page and query caches for this policy — the
+    /// host's share of [`McSystem::set_cache_policy`], also applied to
+    /// the shared-world engine's island hosts.
+    pub(crate) fn apply_to_host(self, host: &mut HostComputer) {
+        if self.enabled && self.host_ttl > SimDuration::ZERO {
+            host.web
+                .configure_page_cache(self.host_ttl.as_nanos(), self.byte_budget);
+        } else {
+            host.web.disable_page_cache();
+        }
+        host.web.db_mut().set_query_cache(self.enabled);
+    }
 }
 
 /// A typed, declarative description of every knob an [`McSystem`] is
@@ -486,14 +499,7 @@ impl McSystem {
         } else {
             None
         };
-        if policy.enabled && policy.host_ttl > SimDuration::ZERO {
-            self.host
-                .web
-                .configure_page_cache(policy.host_ttl.as_nanos(), policy.byte_budget);
-        } else {
-            self.host.web.disable_page_cache();
-        }
-        self.host.web.db_mut().set_query_cache(policy.enabled);
+        policy.apply_to_host(&mut self.host);
     }
 
     /// The cache policy in force (disabled by default).

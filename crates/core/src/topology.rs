@@ -165,6 +165,91 @@ impl Topology {
     pub fn island_of_user(&self, user: u64, users: u64) -> u64 {
         self.host_of_gateway(self.gateway_of_cell(self.cell_of_user(user, users)))
     }
+
+    /// Everything island `island` owns, enumerated straight from the
+    /// wiring rules instead of filtering every gateway, cell and user:
+    /// the gateways `island, island + hosts, …`; the cells `c` with
+    /// `c mod gateways` among them; and the users those cells hold under
+    /// the placement policy. The cost is proportional to the island's
+    /// own members, so walking every island is O(users + cells +
+    /// gateways) rather than O(users × islands).
+    ///
+    /// Every list is ascending by global index, which keeps the engine's
+    /// local resource indices canonical.
+    pub(crate) fn island_members(&self, island: u64, users: u64) -> IslandMembers {
+        let mut members = IslandMembers::default();
+        if island >= self.gateways {
+            return members;
+        }
+        members.gateways = (island..self.gateways)
+            .step_by(self.hosts as usize)
+            .collect();
+        // Cells repeat the gateway sequence every `gateways` indices, so
+        // each block contributes the island's gateways in order.
+        for base in (0..self.cells).step_by(self.gateways as usize) {
+            for &g in &members.gateways {
+                if base + g >= self.cells {
+                    break;
+                }
+                members.cells.push(base + g);
+            }
+        }
+        if members.cells.is_empty() {
+            return members;
+        }
+        match self.placement {
+            Placement::RoundRobin => {
+                // User `u` sits in cell `u mod cells`: the same block
+                // walk over users, one block per `cells` indices.
+                for base in (0..users).step_by(self.cells as usize) {
+                    for (local, &c) in members.cells.iter().enumerate() {
+                        if base + c >= users {
+                            break;
+                        }
+                        members.users.push((base + c, local));
+                    }
+                }
+            }
+            Placement::Blocked => {
+                // Cell `c` holds one contiguous block; the last cell also
+                // takes whatever `cell_of_user`'s clamp sends it.
+                let block = users.div_ceil(self.cells).max(1);
+                for (local, &c) in members.cells.iter().enumerate() {
+                    let lo = (c * block).min(users);
+                    let hi = if c == self.cells - 1 {
+                        users
+                    } else {
+                        ((c + 1) * block).min(users)
+                    };
+                    members.users.extend((lo..hi).map(|u| (u, local)));
+                }
+            }
+        }
+        members
+    }
+}
+
+/// One island's members, from [`Topology::island_members`]. Each list
+/// is ascending by global index; a member's position in its list is its
+/// island-local index.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct IslandMembers {
+    /// Gateways homed on the island's host (some may serve no cell).
+    pub gateways: Vec<u64>,
+    /// Cells uplinking through those gateways.
+    pub cells: Vec<u64>,
+    /// `(user, local cell index)` for every user placed in those cells.
+    pub users: Vec<(u64, usize)>,
+}
+
+impl IslandMembers {
+    /// The island-local index of the gateway serving local cell `cell`:
+    /// the island's gateways are `island + k·hosts`, so the local index
+    /// is `k`.
+    pub fn local_gateway(&self, topology: &Topology, cell: usize) -> usize {
+        let gateway = topology.gateway_of_cell(self.cells[cell]);
+        ((gateway - self.gateways[0]) / topology.hosts) as usize
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +298,108 @@ mod tests {
         let t = Topology::shared().cells(3).placement(Placement::Blocked);
         for u in 0..10 {
             assert!(t.cell_of_user(u, 10) < 3);
+        }
+    }
+
+    /// Checks [`Topology::island_members`] against the filter
+    /// definition of membership: every list equals the filter over the
+    /// whole index range, is strictly ascending, and the islands
+    /// together partition each range.
+    fn check_members(t: Topology, users: u64) {
+        let (mut all_gateways, mut all_cells, mut all_users) = (Vec::new(), Vec::new(), Vec::new());
+        for island in 0..t.host_count() {
+            let m = t.island_members(island, users);
+            let gateways: Vec<u64> = (0..t.gateway_count())
+                .filter(|&g| t.host_of_gateway(g) == island)
+                .collect();
+            let cells: Vec<u64> = (0..t.cell_count())
+                .filter(|&c| t.host_of_gateway(t.gateway_of_cell(c)) == island)
+                .collect();
+            let members: Vec<u64> = (0..users)
+                .filter(|&u| t.island_of_user(u, users) == island)
+                .collect();
+            let user_ids: Vec<u64> = m.users.iter().map(|&(u, _)| u).collect();
+            assert_eq!(m.gateways, gateways, "{t:?} island {island}: gateways");
+            assert_eq!(m.cells, cells, "{t:?} island {island}: cells");
+            assert_eq!(user_ids, members, "{t:?} island {island}: users");
+            for list in [&m.gateways, &m.cells, &user_ids] {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{t:?}: not ascending");
+            }
+            for &(user, cell) in &m.users {
+                let global_cell = t.cell_of_user(user, users);
+                assert_eq!(
+                    m.cells[cell], global_cell,
+                    "{t:?}: user {user}'s local cell"
+                );
+                assert_eq!(
+                    m.gateways[m.local_gateway(&t, cell)],
+                    t.gateway_of_cell(global_cell),
+                    "{t:?}: user {user}'s local gateway"
+                );
+            }
+            all_gateways.extend(m.gateways);
+            all_cells.extend(m.cells);
+            all_users.extend(user_ids);
+        }
+        all_gateways.sort_unstable();
+        all_cells.sort_unstable();
+        all_users.sort_unstable();
+        assert_eq!(all_gateways, (0..t.gateway_count()).collect::<Vec<_>>());
+        assert_eq!(all_cells, (0..t.cell_count()).collect::<Vec<_>>());
+        assert_eq!(all_users, (0..users).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn island_members_cover_the_edge_shapes() {
+        for placement in [Placement::RoundRobin, Placement::Blocked] {
+            for (users, cells, gateways, hosts) in [
+                (0, 3, 2, 2),     // no users at all
+                (3, 8, 4, 2),     // users < cells: trailing cells stay empty
+                (20, 3, 7, 2),    // gateways > cells: some gateways serve no cell
+                (20, 6, 3, 5),    // hosts > gateways: islands 3 and 4 are empty
+                (10, 10, 10, 10), // one user per island
+                (7, 1, 1, 1),     // one island holds everyone
+                (11, 4, 6, 9),    // everything at once
+            ] {
+                let t = Topology::shared()
+                    .cells(cells)
+                    .gateways(gateways)
+                    .hosts(hosts)
+                    .placement(placement);
+                check_members(t, users);
+            }
+        }
+        // An island whose gateways serve no cell still lists them, so
+        // their telemetry series get registered.
+        let t = Topology::shared().cells(2).gateways(4).hosts(1);
+        assert_eq!(t.island_members(0, 5).gateways, vec![0, 1, 2, 3]);
+        // An island with no gateway at all is empty.
+        assert_eq!(
+            Topology::shared().gateways(2).hosts(3).island_members(2, 5),
+            IslandMembers::default()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn island_members_equal_the_filter_definition(
+            users in 0u64..300,
+            cells in 1u64..40,
+            gateways in 1u64..40,
+            hosts in 1u64..40,
+            blocked in proptest::prelude::any::<bool>(),
+        ) {
+            let placement = if blocked { Placement::Blocked } else { Placement::RoundRobin };
+            check_members(
+                Topology::shared()
+                    .cells(cells)
+                    .gateways(gateways)
+                    .hosts(hosts)
+                    .placement(placement),
+                users,
+            );
         }
     }
 }

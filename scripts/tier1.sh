@@ -9,6 +9,9 @@
 #                      determinism properties in tests/trace_props.rs,
 #                      and the fault-injection properties in
 #                      tests/fault_props.rs;
+#   test (workspace) — every crate's unit, integration and doc tests
+#                      (the island-membership property lives in
+#                      crates/core);
 #   clippy (-D warnings, whole workspace) — lints are errors;
 #   bench (compile)  — the Criterion benches build;
 #   report smoke     — the F4 engine experiment runs end to end and
@@ -56,13 +59,16 @@
 #                      makes the diff fail;
 #   scale smoke      — the F9 fleet-scale experiment runs its quick
 #                      grid ({10k, 100k} users × {1, 4, 8} threads,
-#                      each cell in its own subprocess), emits
+#                      each cell in its own subprocess) plus its
+#                      shared-topology column (10k users on 10k one-
+#                      user islands × {1, 4, 8} threads), emits
 #                      well-formed BENCH_scale.json with the full
 #                      schema, the merged-counter digest is identical
-#                      across thread counts at every population, and
-#                      peak RSS at 100k users stays under 128 MB (the
-#                      engine streams; memory must not scale with the
-#                      population);
+#                      across thread counts at every population on
+#                      both engines (and the shared column equals the
+#                      isolated digest), and peak RSS at 100k users
+#                      stays under 128 MB (the engine streams; memory
+#                      must not scale with the population);
 #   db smoke         — the F11 durable-storage experiment runs end to
 #                      end, emits well-formed BENCH_db.json, the
 #                      explicit zero-cost durability policy is byte-
@@ -88,6 +94,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 cargo bench --no-run
 cargo run --release -p bench --bin report -- --quick --f4
@@ -232,14 +239,29 @@ for pop in pops:
     assert len(digests) == 1, (
         f"{pop} users: merged-counter digest diverges across threads: {digests}"
     )
+shared_pops, shared = doc["shared_populations"], doc["shared_cells"]
+assert shared_pops and len(shared) == len(shared_pops) * len(threads), (
+    "F9 shared column incomplete"
+)
+for pop in shared_pops:
+    digests = {c["digest"] for c in shared if c["users"] == pop}
+    assert len(digests) == 1, (
+        f"{pop} users on shared islands: digest diverges across threads: {digests}"
+    )
+    isolated = {c["digest"] for c in cells if c["users"] == pop}
+    assert not isolated or digests == isolated, (
+        f"{pop} one-user islands diverge from the isolated engine: {digests} vs {isolated}"
+    )
+    assert all(c.get("islands") == pop for c in shared if c["users"] == pop)
 for c in cells:
     if c["users"] == 100_000 and c["peak_rss_bytes"] > 0:
         assert c["peak_rss_bytes"] < 128 * 1024 * 1024, (
             f"peak RSS {c['peak_rss_bytes']} exceeds the 128 MB budget at 100k users"
         )
 best = max(c["events_per_sec"] for c in cells)
-print(f"scale gate: {len(cells)}-cell grid complete; digests identical at every "
-      f"population; 100k-user RSS under 128 MB; best {best:,.0f} events/s")
+print(f"scale gate: {len(cells)}-cell grid + {len(shared)} shared cells complete; "
+      f"digests identical at every population; 100k-user RSS under 128 MB; "
+      f"best {best:,.0f} events/s")
 PY
 cargo run --release -p bench --bin report -- --quick --f11
 python3 -m json.tool BENCH_db.json > /dev/null

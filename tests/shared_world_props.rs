@@ -71,6 +71,40 @@ fn shared_world_traces_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn blocked_placement_is_byte_identical_across_thread_counts() {
+    // Blocked placement on several islands: 30 users fill 7 cells in
+    // blocks of 5 (the last two cells stay empty), 7 cells → 4 gateways
+    // → 3 hosts. Summaries, contention stats, traces and telemetry
+    // exports must all be independent of the thread count.
+    let topo = Topology::shared()
+        .cells(7)
+        .gateways(4)
+        .hosts(3)
+        .placement(Placement::Blocked);
+    let scenario = crowd(30);
+    let runs: Vec<FleetRun> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&t| {
+            FleetRunner::new(scenario.clone())
+                .topology(topo)
+                .threads(t)
+                .traced(true)
+                .telemetry(true)
+                .run()
+        })
+        .collect();
+    let trace = |run: &FleetRun| run.trace.as_ref().expect("traced").to_jsonl();
+    let series = |run: &FleetRun| run.timeseries.as_ref().expect("telemetry on").to_jsonl();
+    assert!(runs[0].contention.as_ref().expect("shared").total_wait_ns() > 0);
+    for run in &runs[1..] {
+        assert_eq!(runs[0].report.summary, run.report.summary, "summary");
+        assert_eq!(runs[0].contention, run.contention, "contention stats");
+        assert_eq!(trace(&runs[0]), trace(run), "JSONL trace");
+        assert_eq!(series(&runs[0]), series(run), "telemetry export");
+    }
+}
+
+#[test]
 fn one_user_shared_world_reproduces_the_legacy_world_exactly() {
     // One user on shared infrastructure never queues, so every wait is
     // exactly zero and the engines must agree bit for bit — summaries

@@ -121,6 +121,21 @@ fn every_shared_resource_registers_its_series() {
 }
 
 #[test]
+fn gateways_without_cells_still_register_their_series() {
+    // 2 cells → 4 gateways → 1 host: gateways 2 and 3 serve no cell but
+    // belong to the island, so their tracks exist (and stay idle).
+    let topo = Topology::shared().cells(2).gateways(4).hosts(1);
+    let run = telemetry_run(&crowd(8), topo, 2);
+    let names: Vec<&str> = series(&run).names().collect();
+    for gateway in 0..4 {
+        for track in ["cpu_util", "cache_hit_rate"] {
+            let expected = format!("gateway{gateway:04}.{track}");
+            assert!(names.contains(&expected.as_str()), "missing {expected}: {names:?}");
+        }
+    }
+}
+
+#[test]
 fn jsonl_lines_parse_and_match_the_series_schema() {
     let run = telemetry_run(&crowd(8), Topology::shared(), 2);
     let jsonl = series(&run).to_jsonl();
