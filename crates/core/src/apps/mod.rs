@@ -26,6 +26,7 @@ pub mod inventory;
 pub mod traffic;
 pub mod travel;
 
+use hostsite::db::Database;
 use hostsite::HostComputer;
 use middleware::MobileRequest;
 
@@ -147,12 +148,35 @@ impl Step {
 }
 
 /// A Table 1 application: host-side provisioning plus a session generator.
+///
+/// Provisioning is split in two. [`Application::seed`] writes the
+/// catalogue — schema, rows and full-text registrations — and is a pure
+/// function of the application, so the fleet engine seeds it once per
+/// shard and hands each user's host a copy-on-write clone.
+/// [`Application::wire_routes`] installs the application programs on one
+/// host; it runs per host and is never shared, because programs may own
+/// per-host state (Commerce's payment gateway holds the demo account and
+/// the replay-guard nonces).
 pub trait Application {
     /// Which Table 1 category this application realises.
     fn category(&self) -> Category;
 
-    /// Provisions the host computer: schema, seed data, routes.
-    fn install(&self, host: &mut HostComputer);
+    /// Seeds a fresh database with the application's schema, rows and
+    /// full-text registrations. Deterministic: every call leaves an
+    /// identical database.
+    fn seed(&self, db: &mut Database);
+
+    /// Wires the application programs (routes, auth realms and their
+    /// per-host state) onto `host`, whose database [`Application::seed`]
+    /// has already populated.
+    fn wire_routes(&self, host: &mut HostComputer);
+
+    /// Provisions the host computer: seeds its database, then wires the
+    /// routes.
+    fn install(&self, host: &mut HostComputer) {
+        self.seed(host.web.db_mut());
+        self.wire_routes(host);
+    }
 
     /// Generates the `index`-th user session deterministically under
     /// `seed`.

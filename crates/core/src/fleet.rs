@@ -321,19 +321,21 @@ impl Scenario {
     /// purely from the scenario seed and the user index, all through
     /// [`Scenario::spec_for_user`].
     pub fn system_for_user(&self, user: u64) -> McSystem {
-        self.system_around(user, self.host_for(user))
+        self.system_around(user, self.host_for(user, seeded_db(self.app)))
     }
 
-    /// A fresh host with the application installed, seeded from the
-    /// scenario seed and `index`: user `index`'s private host, or island
-    /// `index`'s shared one — so a one-user island gets exactly the host
-    /// its user would own in the isolated world.
-    pub(crate) fn host_for(&self, index: u64) -> HostComputer {
-        let mut host = HostComputer::new(
-            Database::new(),
-            simnet::rng::sub_seed(self.seed, "fleet.host", index),
-        );
-        for_category(self.app).install(&mut host);
+    /// The host around `db` — a database [`Application::seed`] already
+    /// populated for this scenario's app — with the application programs
+    /// wired on and the web server seeded from the scenario seed and
+    /// `index`: user `index`'s private host, or island `index`'s shared
+    /// one, so a one-user island gets exactly the host its user would own
+    /// in the isolated world. Every provisioning path goes through here,
+    /// whether `db` was freshly seeded or cloned from a shard's template.
+    ///
+    /// [`Application::seed`]: crate::apps::Application::seed
+    pub(crate) fn host_for(&self, index: u64, db: Database) -> HostComputer {
+        let mut host = HostComputer::new(db, simnet::rng::sub_seed(self.seed, "fleet.host", index));
+        for_category(self.app).wire_routes(&mut host);
         host
     }
 
@@ -350,13 +352,17 @@ impl Scenario {
         system
     }
 
-    /// [`Scenario::system_for_user`] with a shard's scratch memos
-    /// attached: the gateway reuses translations and the browser reuses
-    /// renders across the users this shard executes. Hits replay
-    /// byte-identical results (see [`ShardScratch`]), so the system
-    /// behaves bit-for-bit like a scratch-free build — only faster.
+    /// [`Scenario::system_for_user`] provisioned from a shard's scratch:
+    /// the host's database is a clone of the shard's seeded template
+    /// (its indexes shared copy-on-write), the gateway reuses
+    /// translations and the browser reuses renders across the users this
+    /// shard executes. A template clone equals a fresh seeding and memo
+    /// hits replay byte-identical results (see [`ShardScratch`]), so the
+    /// system behaves bit-for-bit like a scratch-free build — only
+    /// faster.
     pub fn system_for_user_in(&self, user: u64, scratch: &ShardScratch) -> McSystem {
-        let mut system = self.system_for_user(user);
+        let host = self.host_for(user, scratch.seeded_db(self.app));
+        let mut system = self.system_around(user, host);
         scratch.attach(&mut system);
         system
     }
@@ -475,12 +481,13 @@ impl Scenario {
     }
 }
 
-/// Shard-lifetime scratch state: memo tables for the pure, body-keyed
-/// stages of the transaction pipeline — the gateway's translation
-/// (HTML→WML→WBXML, HTML→cHTML) and the browser's render. One scratch
-/// lives per shard thread (or per island in the shared engine); the
-/// `Rc` handles are cloned into every system the shard builds and never
-/// cross threads.
+/// Shard-lifetime scratch state: the seeded host database each
+/// application's users are provisioned from, and memo tables for the
+/// pure, body-keyed stages of the transaction pipeline — the gateway's
+/// translation (HTML→WML→WBXML, HTML→cHTML) and the browser's render.
+/// One scratch lives per shard thread (or per island in the shared
+/// engine); the `Rc` handles are cloned into every system the shard
+/// builds and never cross threads.
 ///
 /// This is the arena discipline of the F9 work: allocations that are
 /// logically transaction-lifetime (parsed documents, encoded decks,
@@ -490,16 +497,39 @@ impl Scenario {
 /// byte-identical to a fresh computation — summaries, traces, and the
 /// cross-thread F9 digest are unchanged by scratch attachment, shard
 /// layout, or population (pinned by tests below).
+///
+/// The database template is seeded on first use per [`Category`] and
+/// every user's host gets a clone: base rows and log are copied, the
+/// secondary and full-text indexes stay shared copy-on-write until a
+/// write changes them. [`Application::seed`] is a pure function of the
+/// app, so a clone is indistinguishable from a fresh seeding. Routes
+/// are never shared — they are wired per host.
+///
+/// [`Application::seed`]: crate::apps::Application::seed
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     transcode: SharedTranscodeMemo,
     render: Rc<RefCell<RenderMemo>>,
+    /// Seeded databases, one per application served, built on first use.
+    templates: RefCell<Vec<(Category, Database)>>,
 }
 
 impl ShardScratch {
     /// A fresh, empty scratch for one shard thread or island.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A clone of `app`'s seeded database, seeding the template on the
+    /// first request for `app`.
+    pub(crate) fn seeded_db(&self, app: Category) -> Database {
+        let mut templates = self.templates.borrow_mut();
+        if let Some((_, db)) = templates.iter().find(|(c, _)| *c == app) {
+            return db.clone();
+        }
+        let db = seeded_db(app);
+        templates.push((app, db.clone()));
+        db
     }
 
     /// Attaches this scratch's memos to a freshly built system.
@@ -517,6 +547,13 @@ impl ShardScratch {
     pub fn render_hits(&self) -> u64 {
         self.render.borrow().hits()
     }
+}
+
+/// A fresh database seeded with `app`'s catalogue.
+pub(crate) fn seeded_db(app: Category) -> Database {
+    let mut db = Database::new();
+    for_category(app).seed(&mut db);
+    db
 }
 
 /// One user's telemetry from a traced run: sim-time trace events (in

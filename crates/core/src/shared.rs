@@ -301,7 +301,7 @@ fn run_island(
     // The island's shared host: same seed derivation as the legacy
     // engine gives user `island`'s private host, so a one-host,
     // one-user world is bit-identical to legacy user 0.
-    let mut shared_host = scenario.host_for(island);
+    let mut shared_host = scenario.host_for(island, crate::fleet::seeded_db(scenario.app));
     scenario.cache.apply_to_host(&mut shared_host);
     // Seed rows installed above are already durable; only live-traffic
     // commits batch under a priced policy.

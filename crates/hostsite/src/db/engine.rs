@@ -31,7 +31,7 @@ const SEARCH_MEMO_HIT_NS: u64 = 100_000;
 const SEARCH_MEMO_CAP: usize = 64;
 
 /// Inverse operations for transaction rollback.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Undo {
     RemoveRow { table: String, key: OrdKey },
     RestoreRow { table: String, row: Arc<Row> },
@@ -64,7 +64,7 @@ struct CachedResult {
 /// Invalidation stays table-scoped through `by_table`, the ids ever
 /// minted under each table; ids survive invalidation, so re-memoizing
 /// a shape after a write is alloc-free too.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct QueryCache {
     ids: KeyInterner<QueryShape>,
     results: HashMap<u64, CachedResult>,
@@ -136,7 +136,7 @@ struct SearchEntry {
 /// form an unbounded key space; eviction is least-recently-used with the
 /// key as a deterministic tie-break. Invalidation is table-scoped, like
 /// the `select_eq` cache.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SearchMemo {
     entries: HashMap<(String, String), SearchEntry>,
     tick: u64,
@@ -199,7 +199,13 @@ impl Snapshot {
 /// assert_eq!(row[1], Value::Text("widget".into()));
 /// # Ok::<(), hostsite::db::DbError>(())
 /// ```
-#[derive(Debug, Default)]
+///
+/// A `Database` is `Clone`: the clone owns its base rows and log, while
+/// the derived projections (secondary and full-text indexes) stay shared
+/// copy-on-write until a write changes them — the fleet engine seeds an
+/// application's catalogue once per shard and hands each user's host a
+/// clone.
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Table>,
     wal: Wal,
@@ -435,15 +441,7 @@ impl Database {
                 }
                 self.tables.insert(
                     name.clone(),
-                    Table {
-                        columns: columns.clone(),
-                        rows: BTreeMap::new(),
-                        indexes: indexes
-                            .iter()
-                            .map(|s| (s.clone(), BTreeMap::new()))
-                            .collect(),
-                        fts: None,
-                    },
+                    Table::new(columns.clone(), indexes.iter().cloned()),
                 );
             }
             JournalEntry::Insert { table, row } => {
@@ -528,15 +526,10 @@ impl Database {
         }
         self.tables.insert(
             name.to_owned(),
-            Table {
-                columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-                rows: BTreeMap::new(),
-                indexes: indexes
-                    .iter()
-                    .map(|s| ((*s).to_owned(), BTreeMap::new()))
-                    .collect(),
-                fts: None,
-            },
+            Table::new(
+                columns.iter().map(|s| (*s).to_owned()).collect(),
+                indexes.iter().map(|s| (*s).to_owned()),
+            ),
         );
         self.record(JournalEntry::CreateTable {
             name: name.to_owned(),
@@ -815,10 +808,7 @@ impl Database {
         let pin = self.oldest_pin();
         let key = row[0].ord_key();
         let table = self.tables.get_mut(table_name).expect("checked above");
-        let reindexed = table
-            .index_remove(table_name, &old)
-            .and_then(|()| table.index_insert(table_name, &row));
-        if let Err(e) = reindexed {
+        if let Err(e) = table.index_update(table_name, &old, &row) {
             self.footprint = self.footprint.saturating_sub(new_bytes) + old_bytes;
             return Err(e);
         }
@@ -1006,7 +996,7 @@ impl Database {
             }
         }
         let entries = fts.entry_count();
-        table.fts = Some(fts);
+        table.fts = Some(Arc::new(fts));
         Ok(entries)
     }
 
@@ -1209,14 +1199,19 @@ impl Database {
                                 let key = row[0].ord_key();
                                 let current =
                                     t.rows.get_mut(&key).and_then(|c| c.remove_live(version));
-                                if let Some(current) = current {
-                                    let _ = t.index_remove(&table, &current);
-                                    self.footprint = self
-                                        .footprint
-                                        .saturating_sub(Self::row_footprint(&current));
-                                }
+                                // Restoring an updated row re-indexes only
+                                // what the update changed; restoring a
+                                // deleted one re-inserts it.
+                                let _ = match &current {
+                                    Some(current) => {
+                                        self.footprint = self
+                                            .footprint
+                                            .saturating_sub(Self::row_footprint(current));
+                                        t.index_update(&table, current, &row)
+                                    }
+                                    None => t.index_insert(&table, &row),
+                                };
                                 self.footprint += Self::row_footprint(&row);
-                                let _ = t.index_insert(&table, &row);
                                 let chain = t.rows.entry(key).or_default();
                                 chain.install(row, version);
                                 chain.prune(pin);
@@ -2142,6 +2137,150 @@ mod tests {
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(after.iter()) {
             assert_eq!(a, b);
+        }
+    }
+
+    /// Secondary-index key values: duplicates, and `Int(1)`/`Bool(true)`
+    /// and `Int(1)`/`Text("1")` pairs whose keys or text coincide.
+    const TAGS: [fn() -> Value; 6] = [
+        || Value::Int(0),
+        || Value::Int(1),
+        || Value::Bool(true),
+        || Value::Bool(false),
+        || Value::Text("1".into()),
+        || Value::Text("a".into()),
+    ];
+    /// Full-text column values: `Int(1)` and `Bool(true)` share an index
+    /// key but tokenize differently; `Bool(true)` and `Text("true")`
+    /// tokenize alike under different keys.
+    const NAMES: [fn() -> Value; 6] = [
+        || Value::Text("red case".into()),
+        || Value::Text("case".into()),
+        || Value::Int(1),
+        || Value::Bool(true),
+        || Value::Text("true".into()),
+        || Value::Text("red red".into()),
+    ];
+
+    /// One write: `(pk, tag, name, delete)`.
+    type Op = (i64, usize, usize, bool);
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::strategy::Strategy as _;
+        (0i64..6, 0usize..TAGS.len(), 0usize..NAMES.len(), 0u8..5)
+            .prop_map(|(pk, tag, name, d)| (pk, tag, name, d == 0))
+    }
+
+    /// Applies `op` to `db` and mirrors it on `reference` by remove then
+    /// insert — the re-indexing `Table::index_update` must equal.
+    /// Returns the undo record `(pk, row before)`, or `None` for a no-op.
+    fn apply(
+        db: &mut Database,
+        reference: &mut Table,
+        live: &mut BTreeMap<i64, Row>,
+        (pk, tag, name, delete): Op,
+    ) -> Option<(i64, Option<Row>)> {
+        let row: Row = vec![pk.into(), TAGS[tag](), NAMES[name]()];
+        let old = live.get(&pk).cloned();
+        match (&old, delete) {
+            (None, true) => return None,
+            (Some(old), true) => {
+                db.delete("t", &pk.into()).unwrap();
+                reference.index_remove("t", old).unwrap();
+                live.remove(&pk);
+            }
+            (Some(old), false) => {
+                db.update("t", row.clone()).unwrap();
+                reference.index_remove("t", old).unwrap();
+                reference.index_insert("t", &row).unwrap();
+                live.insert(pk, row);
+            }
+            (None, false) => {
+                db.insert("t", row.clone()).unwrap();
+                reference.index_insert("t", &row).unwrap();
+                live.insert(pk, row);
+            }
+        }
+        Some((pk, old))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Updates re-index only what changed, yet leave every bucket
+        /// order, posting and document count exactly where remove then
+        /// insert would — for committed writes and through the rollback's
+        /// row restores.
+        #[test]
+        fn index_update_equals_remove_then_insert(
+            batches in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), proptest::collection::vec(op(), 1..8)),
+                1..8,
+            ),
+        ) {
+            let mut db = Database::new();
+            db.create_table("t", &["id", "tag", "name"], &["tag", "name"]).unwrap();
+            db.create_fts("t", "name").unwrap();
+            let mut reference = Table::new(
+                vec!["id".into(), "tag".into(), "name".into()],
+                ["tag".to_owned(), "name".to_owned()],
+            );
+            reference.fts = Some(Arc::new(FtsIndex::new("name")));
+            let mut live: BTreeMap<i64, Row> = BTreeMap::new();
+            for (roll_back, ops) in batches {
+                let mut undo = Vec::new();
+                if roll_back {
+                    let _ = db.transaction(|db| {
+                        for op in &ops {
+                            undo.extend(apply(db, &mut reference, &mut live, *op));
+                        }
+                        Err::<(), ()>(())
+                    });
+                    // The engine restores in reverse; mirror it.
+                    for (pk, before) in undo.into_iter().rev() {
+                        if let Some(current) = live.remove(&pk) {
+                            reference.index_remove("t", &current).unwrap();
+                        }
+                        if let Some(before) = before {
+                            reference.index_insert("t", &before).unwrap();
+                            live.insert(pk, before);
+                        }
+                    }
+                } else {
+                    for op in &ops {
+                        apply(&mut db, &mut reference, &mut live, *op);
+                    }
+                }
+                let table = &db.tables["t"];
+                proptest::prop_assert_eq!(&table.indexes, &reference.indexes);
+                proptest::prop_assert_eq!(&table.fts, &reference.fts);
+                for (pk, row) in &live {
+                    let stored = db.get("t", &(*pk).into()).unwrap();
+                    proptest::prop_assert_eq!(stored.as_deref(), Some(row));
+                }
+                for tag in TAGS {
+                    let via_index: Vec<Row> = db
+                        .select_eq("t", "tag", &tag())
+                        .unwrap()
+                        .iter()
+                        .map(|r| r.to_vec())
+                        .collect();
+                    let bucket: Vec<Row> = reference.indexes["tag"]
+                        .get(&tag().ord_key())
+                        .into_iter()
+                        .flatten()
+                        .map(|pk| reference_row(&live, pk))
+                        .collect();
+                    proptest::prop_assert_eq!(via_index, bucket);
+                }
+            }
+        }
+    }
+
+    fn reference_row(live: &BTreeMap<i64, Row>, pk: &OrdKey) -> Row {
+        match pk {
+            OrdKey::Int(pk) => live[pk].clone(),
+            other => panic!("integer primary keys only, got {other:?}"),
         }
     }
 }

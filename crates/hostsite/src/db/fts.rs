@@ -53,7 +53,7 @@ pub(crate) fn query_terms(query: &str) -> Vec<String> {
 /// The inverted index for one table column: term → (primary key → term
 /// frequency). Both maps are `BTreeMap` so iteration order — and thus
 /// every derived count and score — is deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FtsIndex {
     /// The indexed column's name.
     pub(crate) column: String,

@@ -24,7 +24,8 @@
 //!   observe a frozen, consistent view while later writers proceed.
 //! - `index.rs`: secondary indexes as derived projections of the base
 //!   rows — dropped wholesale on a crash and rebuilt from the recovered
-//!   rows, never replayed.
+//!   rows, never replayed; shared copy-on-write between cloned
+//!   databases, and re-indexed on update only where a value changed.
 //! - `engine.rs`: the [`Database`] façade tying the layers together
 //!   with transactions, the memory cap and the query cache.
 //!

@@ -98,7 +98,7 @@ impl DurabilityPolicy {
 }
 
 /// The log itself: a durable prefix plus the un-fsynced pending tail.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Wal {
     durable: Vec<JournalEntry>,
     pending: Vec<JournalEntry>,

@@ -35,7 +35,7 @@ use std::hash::Hasher;
 /// lookups use [`KeyInterner::probe_with`], which never grows the table,
 /// so a stream of never-revisiting keys (distinct search queries) holds
 /// flat memory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyInterner<K> {
     /// hash of the canonical key → ids of keys with that hash.
     buckets: HashMap<u64, Vec<u64>>,

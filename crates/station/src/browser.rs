@@ -121,9 +121,16 @@ pub const RENDER_MEMO_CAPACITY: usize = 512;
 /// one across threads, keeping fixed-seed runs digest-identical at any
 /// thread count. Inserts stop at the capacity bound so per-user unique
 /// decks (receipts) cannot grow it O(users).
+///
+/// The memo is bound to the profile of the browser that last used it:
+/// wrap width, content budget and the parse/render cost model all come
+/// from the profile, so a browser on a different profile misses, drops
+/// the other device's renders and rebinds the memo to its own.
 #[derive(Debug, Default)]
 pub struct RenderMemo {
     entries: std::collections::HashMap<(ContentKind, bytes::Bytes), Rc<RenderedView>>,
+    /// The profile every entry was rendered for.
+    device: Option<DeviceProfile>,
     hits: u64,
     misses: u64,
 }
@@ -310,6 +317,10 @@ impl Microbrowser {
         prepared: Option<&Element>,
         memo: &mut RenderMemo,
     ) -> Result<Rc<RenderedView>, BrowserError> {
+        if memo.device.as_ref() != Some(&self.device) {
+            memo.entries.clear();
+            memo.device = Some(self.device.clone());
+        }
         // The tuple key needs an owned `Bytes` — an Arc clone, no copy.
         if let Some(view) = memo.entries.get(&(kind, content.clone())) {
             memo.hits += 1;
@@ -531,6 +542,41 @@ mod tests {
             .unwrap();
         assert_eq!(rendered.title, "Order");
         assert!(rendered.inputs.contains(&"sku".to_owned()));
+    }
+
+    #[test]
+    fn render_memo_misses_when_the_device_changes() {
+        let page = html::page(
+            "Shop",
+            vec![html::p(&"a wireless earpiece for the road ".repeat(12)).into()],
+        );
+        let deck = bytes::Bytes::from(
+            html_to_wml(&page, &WmlOptions::default())
+                .to_markup()
+                .into_bytes(),
+        );
+        let ipaq = Microbrowser::new(DeviceProfile::ipaq_h3870());
+        let nokia = Microbrowser::new(DeviceProfile::nokia_9290());
+        let mut memo = RenderMemo::new();
+        let on_ipaq = ipaq
+            .render_memoized(&deck, ContentKind::Wml, None, &mut memo)
+            .unwrap();
+        let on_nokia = nokia
+            .render_memoized(&deck, ContentKind::Wml, None, &mut memo)
+            .unwrap();
+        let fresh = nokia.render(&deck, ContentKind::Wml).unwrap();
+        assert_ne!(
+            on_ipaq.page, fresh,
+            "the two devices must render differently"
+        );
+        assert_eq!(on_nokia.page, fresh);
+        assert_eq!((memo.hits(), memo.misses()), (0, 2));
+        // The memo now serves the Nokia: a repeat is a hit.
+        let again = nokia
+            .render_memoized(&deck, ContentKind::Wml, None, &mut memo)
+            .unwrap();
+        assert_eq!(again.page, fresh);
+        assert_eq!(memo.hits(), 1);
     }
 
     #[test]

@@ -85,6 +85,10 @@
 #                      in catalog size, memo hits fall as the write
 #                      rate rises, and 10k distinct queries leave the
 #                      page-cache interner empty (flat memory);
+#   perfbench check  — the repository benchmark (perfbench/, built into
+#                      the gitignored .bench_build/) runs every workload
+#                      once at seed 1 on one thread, and each output
+#                      digest equals the digest recorded for it;
 #   examples smoke   — the Scenario-driven examples run clean (their
 #                      internal asserts are the gate).
 #
@@ -341,6 +345,17 @@ if cargo run --release -p bench --bin benchdiff -- \
 fi
 rm -f BENCH_regressed.baseline.json
 echo "benchdiff gate: baselines match and the injected regression was flagged"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in isolated_storefront shared_cells shared_search; do
+  out=$(.bench_build/release/perfbench check --workload "$workload" --seed 1 | tail -n 1)
+  digest=$(printf '%s' "$out" | sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
+  recorded=$(printf '%s' "$out" | sed -n 's/.*"recorded":"\([0-9a-f]*\)".*/\1/p')
+  if [ -z "$digest" ] || [ "$digest" != "$recorded" ]; then
+    echo "perfbench gate: $workload digest '$digest' != recorded '$recorded'" >&2
+    exit 1
+  fi
+  echo "perfbench gate: $workload digest $digest matches the recorded one"
+done
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example secure_checkout > /dev/null
 cargo run -q --release --example roaming_payment > /dev/null
