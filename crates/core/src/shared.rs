@@ -31,7 +31,7 @@
 //! built around an empty placeholder host, because the *shared* pieces
 //! are swapped in around every transaction. The island's one
 //! [`HostComputer`] takes the placeholder's place, and the gateway's one
-//! shared [`ContentCache`](middleware::ContentCache) replaces the
+//! shared [`middleware::ContentCache`] replaces the
 //! user's private cache. A deterministic event queue keyed by
 //! `(ready time, global user index)` decides who transacts next.
 //!

@@ -6,7 +6,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash as _, Hasher as _};
 use std::sync::Arc;
 
-use crate::intern::{probe_hasher, KeyInterner};
+use crate::intern::probe_hasher;
+use crate::ttl_lru::TtlLru;
 
 use super::fts::{query_terms, FtsIndex};
 use super::index::Table;
@@ -38,7 +39,7 @@ enum Undo {
     DropTable { name: String },
 }
 
-/// A distinct `select_eq` query shape, interned once.
+/// A `select_eq` query: the `select_eq` cache's key.
 #[derive(Debug, Clone)]
 struct QueryShape {
     table: String,
@@ -46,127 +47,58 @@ struct QueryShape {
     key: OrdKey,
 }
 
-/// One memoized result set and the sim instant it was stored at.
+/// The engine's two read caches, each a [`TtlLru`] of result sets.
+/// Both are projections of the same base rows, so they share the enable
+/// flag, the TTL and table-scoped invalidation.
 #[derive(Debug, Clone)]
-struct CachedResult {
-    rows: Vec<Arc<Row>>,
-    stored_ns: u64,
+struct ReadCaches {
+    /// Memoized `select_eq` results. Query shapes come from a small set,
+    /// so the budget is unbounded.
+    select_eq: TtlLru<QueryShape, Vec<Arc<Row>>>,
+    /// Memoized searches keyed by `(table, query)`, one unit of cost
+    /// each, capped at [`SEARCH_MEMO_CAP`].
+    search: TtlLru<(String, String), Vec<Arc<Row>>>,
 }
 
-/// Memoized `select_eq` result sets over interned query ids.
-///
-/// The old layout keyed a nested map by `(column.to_owned(),
-/// value.ord_key())` — two allocations per lookup before a single hash
-/// probe could run. Queries are drawn from a small set of distinct
-/// shapes, so each shape is interned to a dense `u64` id (hashing the
-/// *borrowed* table/column/value, building the owned shape only on
-/// first sight) and results live in one flat id-keyed map.
-/// Invalidation stays table-scoped through `by_table`, the ids ever
-/// minted under each table; ids survive invalidation, so re-memoizing
-/// a shape after a write is alloc-free too.
-#[derive(Debug, Clone, Default)]
-struct QueryCache {
-    ids: KeyInterner<QueryShape>,
-    results: HashMap<u64, CachedResult>,
-    by_table: HashMap<String, Vec<u64>>,
+impl Default for ReadCaches {
+    fn default() -> Self {
+        ReadCaches {
+            select_eq: TtlLru::new(None, usize::MAX),
+            search: TtlLru::new(None, SEARCH_MEMO_CAP),
+        }
+    }
 }
 
-impl QueryCache {
-    /// Interns the shape `(table, column, value)` and returns its id.
-    fn intern(&mut self, table: &str, column: &str, value: &Value) -> u64 {
-        let mut h = probe_hasher();
-        table.hash(&mut h);
-        column.hash(&mut h);
-        // Mirror `Value::ord_key`'s normalisation (Bool → Int, floats →
-        // monotone bits) so e.g. `Bool(true)` and `Int(1)` probes agree
-        // with `OrdKey::matches_value`.
-        match value {
-            Value::Int(i) => (0u8, i).hash(&mut h),
-            Value::Bool(b) => (0u8, i64::from(*b)).hash(&mut h),
-            Value::Text(t) => (1u8, t.as_str()).hash(&mut h),
-            Value::Float(f) => (2u8, float_key_bits(*f)).hash(&mut h),
-        }
-        let before = self.ids.len();
-        let id = self.ids.intern_with(
-            h.finish(),
-            |s| s.table == table && s.column == column && s.key.matches_value(value),
-            || QueryShape {
-                table: table.to_owned(),
-                column: column.to_owned(),
-                key: value.ord_key(),
-            },
-        );
-        if self.ids.len() > before {
-            self.by_table.entry(table.to_owned()).or_default().push(id);
-        }
-        id
-    }
-
-    /// Drops memoized results for every shape under `table`; returns
-    /// whether anything was actually cached.
-    fn invalidate_table(&mut self, table: &str) -> bool {
-        let mut any = false;
-        if let Some(ids) = self.by_table.get(table) {
-            for id in ids {
-                any |= self.results.remove(id).is_some();
-            }
-        }
-        any
-    }
-
-    /// Drops every memoized result (ids survive).
+impl ReadCaches {
     fn clear(&mut self) {
-        self.results.clear();
+        self.select_eq.clear();
+        self.search.clear();
     }
 }
 
-/// One memoized search result set.
-#[derive(Debug, Clone)]
-struct SearchEntry {
-    rows: Vec<Arc<Row>>,
-    stored_ns: u64,
-    /// Logical access tick for LRU eviction — deterministic, never
-    /// wall-clock.
-    last_used: u64,
+/// Probe hash of a `select_eq` query over its borrowed fields.
+fn select_eq_hash(table: &str, column: &str, value: &Value) -> u64 {
+    let mut h = probe_hasher();
+    table.hash(&mut h);
+    column.hash(&mut h);
+    // Mirror `Value::ord_key`'s normalisation (Bool → Int, floats →
+    // monotone bits) so e.g. `Bool(true)` and `Int(1)` probes agree
+    // with `OrdKey::matches_value`.
+    match value {
+        Value::Int(i) => (0u8, i).hash(&mut h),
+        Value::Bool(b) => (0u8, i64::from(*b)).hash(&mut h),
+        Value::Text(t) => (1u8, t.as_str()).hash(&mut h),
+        Value::Float(f) => (2u8, float_key_bits(*f)).hash(&mut h),
+    }
+    h.finish()
 }
 
-/// Memoized [`Database::search`] result sets, keyed by `(table, query)`.
-///
-/// Capped at [`SEARCH_MEMO_CAP`] entries because distinct query strings
-/// form an unbounded key space; eviction is least-recently-used with the
-/// key as a deterministic tie-break. Invalidation is table-scoped, like
-/// the `select_eq` cache.
-#[derive(Debug, Clone, Default)]
-struct SearchMemo {
-    entries: HashMap<(String, String), SearchEntry>,
-    tick: u64,
-}
-
-impl SearchMemo {
-    /// Drops memoized searches against `table`; returns whether anything
-    /// was dropped.
-    fn invalidate_table(&mut self, table: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(t, _), _| t != table);
-        self.entries.len() != before
-    }
-
-    /// Inserts under the cap, evicting the least-recently-used entry
-    /// (ties broken by key, so eviction is deterministic regardless of
-    /// `HashMap` iteration order).
-    fn insert(&mut self, key: (String, String), entry: SearchEntry) {
-        if self.entries.len() >= SEARCH_MEMO_CAP && !self.entries.contains_key(&key) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by(|a, b| (a.1.last_used, a.0).cmp(&(b.1.last_used, b.0)))
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(key, entry);
-    }
+/// Probe hash of a search over its borrowed `(table, query)`.
+fn search_hash(table: &str, query: &str) -> u64 {
+    let mut h = probe_hasher();
+    table.hash(&mut h);
+    query.hash(&mut h);
+    h.finish()
 }
 
 /// A pinned read snapshot (see [`Database::begin_snapshot`]).
@@ -214,21 +146,14 @@ pub struct Database {
     tx_depth: u32,
     undo: Vec<Undo>,
     tx_journal: Vec<JournalEntry>,
-    /// Memoized `select_eq` result sets; interior mutability because the
-    /// read path takes `&self`. Off by default so uncached behaviour is
-    /// untouched.
-    query_cache: RefCell<QueryCache>,
-    /// Memoized full-text search result sets; capped (see
-    /// [`SearchMemo`]) and gated by the same enable/TTL knobs as the
-    /// query cache.
-    search_memo: RefCell<SearchMemo>,
+    /// Memoized `select_eq` and full-text search result sets; interior
+    /// mutability because the read path takes `&self`. Off by default
+    /// so uncached behaviour is untouched.
+    caches: RefCell<ReadCaches>,
     /// Simulated CPU accrued by [`Database::search`] since the last
     /// drain; interior mutability because the read path takes `&self`.
     search_cost_ns: Cell<u64>,
     query_cache_enabled: bool,
-    /// Optional freshness window for cached query results; `None` (the
-    /// default) keeps entries until a write invalidates them.
-    query_cache_ttl_ns: Option<u64>,
     /// The engine's view of sim time, used only for TTL freshness.
     now_ns: u64,
     /// Monotone commit-version counter stamped onto row versions.
@@ -315,8 +240,7 @@ impl Database {
     pub fn set_query_cache(&mut self, enabled: bool) {
         self.query_cache_enabled = enabled;
         if !enabled {
-            self.query_cache.borrow_mut().clear();
-            self.search_memo.borrow_mut().entries.clear();
+            self.caches.get_mut().clear();
         }
     }
 
@@ -330,12 +254,14 @@ impl Database {
     /// `t + ttl` — the same boundary rule as the page and content
     /// caches. `None` (the default) disables expiry.
     pub fn set_query_cache_ttl(&mut self, ttl_ns: Option<u64>) {
-        self.query_cache_ttl_ns = ttl_ns;
+        let caches = self.caches.get_mut();
+        caches.select_eq.set_ttl(ttl_ns);
+        caches.search.set_ttl(ttl_ns);
     }
 
     /// The query-cache TTL in force.
     pub fn query_cache_ttl_ns(&self) -> Option<u64> {
-        self.query_cache_ttl_ns
+        self.caches.borrow().select_eq.ttl_ns()
     }
 
     /// Advances the engine's view of simulated time (TTL freshness).
@@ -345,8 +271,7 @@ impl Database {
 
     /// Drops every cached query result and memoized search (all tables).
     pub fn flush_query_cache(&mut self) {
-        self.query_cache.borrow_mut().clear();
-        self.search_memo.borrow_mut().entries.clear();
+        self.caches.get_mut().clear();
     }
 
     /// Drops cached query results *and* memoized search results for one
@@ -358,17 +283,11 @@ impl Database {
         if !self.query_cache_enabled {
             return;
         }
-        let mut any = self.query_cache.borrow_mut().invalidate_table(table_name);
-        any |= self.search_memo.borrow_mut().invalidate_table(table_name);
-        if any {
+        let mut caches = self.caches.borrow_mut();
+        let any = caches.select_eq.retain(|k| k.table != table_name);
+        if caches.search.retain(|(t, _)| t != table_name) || any {
             obs::metrics::incr("host.db_cache.invalidations");
         }
-    }
-
-    /// True when a result stored at `stored_ns` is still fresh.
-    fn cache_entry_fresh(&self, stored_ns: u64) -> bool {
-        self.query_cache_ttl_ns
-            .is_none_or(|ttl| self.now_ns.saturating_sub(stored_ns) < ttl)
     }
 
     /// Rebuilds a database by replaying a journal — crash recovery under
@@ -913,18 +832,18 @@ impl Database {
                 table: table_name.to_owned(),
                 column: column.to_owned(),
             })?;
-        // The id is interned once per distinct query shape; when the
-        // cache is disabled no key is built at all.
-        let cache_id = if self.query_cache_enabled {
-            let mut cache = self.query_cache.borrow_mut();
-            let id = cache.intern(table_name, column, value);
-            if let Some(entry) = cache.results.get(&id) {
-                if self.cache_entry_fresh(entry.stored_ns) {
-                    obs::metrics::incr("host.db_cache.hits");
-                    return Ok(entry.rows.clone());
-                }
+        // The probe hashes borrowed fields; when the cache is disabled
+        // no hash is computed at all.
+        let eq = |k: &QueryShape| {
+            k.table == table_name && k.column == column && k.key.matches_value(value)
+        };
+        let hash = if self.query_cache_enabled {
+            let hash = select_eq_hash(table_name, column, value);
+            if let Some(rows) = self.caches.borrow_mut().select_eq.get(hash, eq, self.now_ns) {
+                obs::metrics::incr("host.db_cache.hits");
+                return Ok(rows.clone());
             }
-            Some(id)
+            Some(hash)
         } else {
             None
         };
@@ -942,14 +861,19 @@ impl Database {
                 .cloned()
                 .collect()
         };
-        if let Some(id) = cache_id {
+        if let Some(hash) = hash {
             obs::metrics::incr("host.db_cache.misses");
-            self.query_cache.borrow_mut().results.insert(
-                id,
-                CachedResult {
-                    rows: rows.clone(),
-                    stored_ns: self.now_ns,
+            self.caches.borrow_mut().select_eq.insert(
+                hash,
+                eq,
+                || QueryShape {
+                    table: table_name.to_owned(),
+                    column: column.to_owned(),
+                    key: value.ord_key(),
                 },
+                rows.clone(),
+                1,
+                self.now_ns,
             );
         }
         Ok(rows)
@@ -1041,38 +965,32 @@ impl Database {
                 "no full-text index on table {table_name:?}"
             )));
         };
-        if self.query_cache_enabled {
-            let mut memo = self.search_memo.borrow_mut();
-            memo.tick += 1;
-            let tick = memo.tick;
-            if let Some(entry) = memo
-                .entries
-                .get_mut(&(table_name.to_owned(), query.to_owned()))
-            {
-                if self.cache_entry_fresh(entry.stored_ns) {
-                    entry.last_used = tick;
-                    obs::metrics::incr("host.db_cache.search_hits");
-                    self.search_cost_ns
-                        .set(self.search_cost_ns.get() + SEARCH_MEMO_HIT_NS);
-                    return Ok(entry.rows.clone());
-                }
+        // As in `select_eq`: when the memo is disabled no hash is computed.
+        let hash = self
+            .query_cache_enabled
+            .then(|| search_hash(table_name, query));
+        let eq = |(t, q): &(String, String)| t == table_name && q == query;
+        if let Some(hash) = hash {
+            if let Some(rows) = self.caches.borrow_mut().search.get(hash, eq, self.now_ns) {
+                obs::metrics::incr("host.db_cache.search_hits");
+                self.search_cost_ns
+                    .set(self.search_cost_ns.get() + SEARCH_MEMO_HIT_NS);
+                return Ok(rows.clone());
             }
         }
         let (scores, visited) = fts.candidates(&query_terms(query));
         let rows = Self::rank(table, scores);
         self.search_cost_ns
             .set(self.search_cost_ns.get() + SEARCH_BASE_NS + SEARCH_POSTING_NS * visited);
-        if self.query_cache_enabled {
+        if let Some(hash) = hash {
             obs::metrics::incr("host.db_cache.search_misses");
-            let mut memo = self.search_memo.borrow_mut();
-            let tick = memo.tick;
-            memo.insert(
-                (table_name.to_owned(), query.to_owned()),
-                SearchEntry {
-                    rows: rows.clone(),
-                    stored_ns: self.now_ns,
-                    last_used: tick,
-                },
+            self.caches.borrow_mut().search.insert(
+                hash,
+                eq,
+                || (table_name.to_owned(), query.to_owned()),
+                rows.clone(),
+                1,
+                self.now_ns,
             );
         }
         Ok(rows)

@@ -20,6 +20,9 @@
 //!   end-to-end system can charge realistic processing latency.
 //! * [`cache`] — the deterministic sim-time page cache (TTL + LRU byte
 //!   budget) the web server fronts its application programs with.
+//! * [`ttl_lru`] — the one TTL + LRU primitive under the page cache, the
+//!   gateway content cache and the database's query cache and search
+//!   memo; [`intern`] holds the borrowed-field probe hashing they share.
 
 pub mod cache;
 pub mod db;
@@ -27,10 +30,11 @@ pub mod host;
 pub mod http;
 pub mod intern;
 pub mod server;
+pub mod ttl_lru;
 
 pub use cache::PageCache;
 pub use db::{Database, DbError, Value};
 pub use host::HostComputer;
-pub use intern::KeyInterner;
 pub use http::{Body, ContentFormat, HttpRequest, HttpResponse, Method, Status};
 pub use server::{AppProgram, ServerCtx, WebServer};
+pub use ttl_lru::TtlLru;

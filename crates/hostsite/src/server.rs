@@ -152,16 +152,10 @@ impl WebServer {
     }
 
     /// Number of entries currently held by the page cache (zero when
-    /// no cache is configured).
+    /// no cache is configured). Each entry holds its own key, so this
+    /// is also the number of request keys held.
     pub fn page_cache_len(&self) -> usize {
         self.page_cache.as_ref().map_or(0, PageCache::len)
-    }
-
-    /// Number of request keys the page cache has interned. Bounded by
-    /// the keys actually *stored*, not the keys merely looked up — the
-    /// memory-flatness invariant under high-cardinality query spaces.
-    pub fn page_cache_interned_keys(&self) -> usize {
-        self.page_cache.as_ref().map_or(0, PageCache::interned_keys)
     }
 
     /// Advances the server's view of simulated time; cache freshness is
@@ -288,39 +282,19 @@ impl WebServer {
     /// response came from the page cache (so the host can charge lookup
     /// cost instead of page-generation cost).
     pub fn handle_cached(&mut self, req: HttpRequest) -> (HttpResponse, bool) {
-        // Only credential-free GETs are cache candidates. POSTs mutate
-        // database and session state, and authed requests must reach
-        // dispatch's auth-realm password check every time — a cached
-        // protected page keyed by username alone would be served to a
-        // later request presenting the wrong password. The lookup
-        // *probes* for an interned id; keys are interned only at store
-        // time, so never-stored shapes (distinct search queries,
-        // cookie-minting responses) don't grow the interner.
-        let cache_candidate = self.page_cache.is_some()
-            && req.method == Method::Get
-            && req.auth.is_none();
-        let cache_id = if cache_candidate {
-            self.page_cache.as_ref().and_then(|cache| cache.probe(&req))
-        } else {
-            None
-        };
+        let cache_candidate = self.page_cache.is_some() && PageCache::cacheable_request(&req);
         if cache_candidate {
             let cache = self.page_cache.as_mut().expect("candidate implies cache");
-            match cache_id {
-                Some(id) => {
-                    if let Some(resp) = cache.lookup(id, self.now_ns) {
-                        obs::metrics::incr("host.page_cache.hits");
-                        obs::metrics::add("host.page_cache.bytes_saved", resp.body.len() as u64);
-                        self.access_log.borrow_mut().push(AccessLogEntry {
-                            method: req.method,
-                            path: req.path.clone(),
-                            status: resp.status.code(),
-                            bytes: resp.body.len(),
-                        });
-                        return (resp, true);
-                    }
-                }
-                None => cache.record_miss(),
+            if let Some(resp) = cache.get(&req, self.now_ns) {
+                obs::metrics::incr("host.page_cache.hits");
+                obs::metrics::add("host.page_cache.bytes_saved", resp.body.len() as u64);
+                self.access_log.borrow_mut().push(AccessLogEntry {
+                    method: req.method,
+                    path: req.path.clone(),
+                    status: resp.status.code(),
+                    bytes: resp.body.len(),
+                });
+                return (resp, true);
             }
         }
         let mut resp = self.dispatch(&req);
@@ -334,18 +308,9 @@ impl WebServer {
         }
         if cache_candidate {
             obs::metrics::incr("host.page_cache.misses");
-            // Responses that mint cookies are per-client, and `no_store`
-            // responses (search results over a high-cardinality query
-            // space) would churn the LRU without ever revisiting — both
-            // bypass admission entirely.
-            if resp.status.is_success() && resp.set_cookies.is_empty() && !resp.no_store {
+            if PageCache::cacheable_response(&resp) {
                 let cache = self.page_cache.as_mut().expect("candidate implies cache");
-                let id = match cache_id {
-                    Some(id) => id,
-                    None => cache.intern(&req),
-                };
-                let now_ns = self.now_ns;
-                let evicted = cache.store(id, &resp, now_ns);
+                let evicted = cache.insert(&req, &resp, self.now_ns);
                 obs::metrics::add("host.page_cache.evictions", evicted as u64);
             }
         }
@@ -710,12 +675,11 @@ mod tests {
     }
 
     #[test]
-    fn hundred_k_distinct_queries_hold_interner_memory_flat() {
-        // Regression test for the unbounded-interner bug: before the
-        // probe-at-lookup fix, every distinct cache-candidate request
-        // interned its key permanently, so a fleet issuing 100k distinct
-        // search queries grew the interner by 100k entries it would
-        // never revisit.
+    fn hundred_k_distinct_queries_hold_cache_memory_flat() {
+        // Regression test for the unbounded-interner bug: every distinct
+        // cache-candidate request once kept its key permanently, so a
+        // fleet issuing 100k distinct search queries held 100k keys it
+        // would never revisit. Probes hold nothing.
         let mut s = server();
         add_search_route(&mut s);
         s.configure_page_cache(u64::MAX / 2, 64 * 1024);
@@ -725,11 +689,10 @@ mod tests {
             assert!(resp.no_store);
         }
         assert_eq!(
-            s.page_cache_interned_keys(),
+            s.page_cache_len(),
             0,
-            "never-stored request shapes must not intern keys"
+            "no_store responses are never admitted, so no key is held"
         );
-        assert_eq!(s.page_cache_len(), 0, "no_store responses are never admitted");
     }
 
     #[test]
@@ -752,7 +715,6 @@ mod tests {
         }
         assert_eq!(browse_hits, rounds - 1, "every revisit after the first hits");
         assert_eq!(s.page_cache_len(), 1, "only the browse page is resident");
-        assert_eq!(s.page_cache_interned_keys(), 1);
     }
 }
 

@@ -9,6 +9,12 @@ use std::fmt;
 
 use crate::dom::{Element, Node};
 
+/// Deepest element nesting the decoders accept — far above anything the
+/// application programs emit. The parser and the WBXML decoder recurse
+/// once per level, so an unbounded nest from hostile input would
+/// overflow the stack and abort the process instead of failing.
+pub const MAX_NESTING: usize = 256;
+
 /// HTML elements that never have content or a closing tag.
 pub const VOID_ELEMENTS: [&str; 6] = ["br", "img", "input", "hr", "meta", "link"];
 
@@ -38,7 +44,8 @@ impl std::error::Error for ParseMarkupError {}
 /// # Errors
 ///
 /// Returns [`ParseMarkupError`] on malformed input: unbalanced tags,
-/// unterminated strings/comments, or trailing non-whitespace content.
+/// unterminated strings/comments, trailing non-whitespace content, or
+/// elements nested deeper than [`MAX_NESTING`].
 ///
 /// ```
 /// let root = markup::parse::parse("<p>Hi <b>there</b></p>")?;
@@ -52,7 +59,7 @@ pub fn parse(input: &str) -> Result<Element, ParseMarkupError> {
         pos: 0,
     };
     p.skip_ws_and_meta()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_ws_and_meta()?;
     if p.pos < p.input.len() {
         return Err(p.err("trailing content after root element"));
@@ -117,7 +124,11 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).to_ascii_lowercase())
     }
 
-    fn parse_element(&mut self) -> Result<Element, ParseMarkupError> {
+    /// Parses the element at `self.pos`, which sits `depth` levels deep.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseMarkupError> {
+        if depth > MAX_NESTING {
+            return Err(self.err(format!("elements nested deeper than {MAX_NESTING}")));
+        }
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -205,7 +216,7 @@ impl<'a> Parser<'a> {
             }
             match self.peek() {
                 Some(b'<') => {
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     element.push_child(child);
                 }
                 Some(_) => {
@@ -398,6 +409,24 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn hostile_nesting_fails_instead_of_overflowing_the_stack() {
+        // A 2 MB stack is the std default for spawned (fleet worker)
+        // threads; a million-deep nest used to abort the process there.
+        let depth = 1_000_000;
+        let input = format!("{}{}", "<div>".repeat(depth), "</div>".repeat(depth));
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&input))
+            .unwrap()
+            .join()
+            .unwrap();
+        let err = result.unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let ok = format!("{}{}", "<b>".repeat(MAX_NESTING), "</b>".repeat(MAX_NESTING));
+        assert!(parse(&ok).is_ok(), "exactly MAX_NESTING levels parse");
     }
 
     #[test]

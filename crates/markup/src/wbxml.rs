@@ -23,6 +23,7 @@
 use std::fmt;
 
 use crate::dom::{Element, Node};
+use crate::parse::MAX_NESTING;
 
 const VERSION: u8 = 0x03;
 const PUBLIC_ID: u8 = 0x01;
@@ -188,14 +189,15 @@ fn push_str(s: &str, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeWbxmlError`] on truncated input, bad headers or
-/// unknown tokens.
+/// Returns [`DecodeWbxmlError`] on truncated input, bad headers,
+/// unknown tokens, or elements nested deeper than
+/// [`MAX_NESTING`].
 pub fn decode(data: &[u8]) -> Result<Element, DecodeWbxmlError> {
     let mut d = Decoder { data, pos: 0 };
     d.expect(VERSION, "version")?;
     d.expect(PUBLIC_ID, "public id")?;
     d.expect(CHARSET_UTF8, "charset")?;
-    let root = d.decode_element()?;
+    let root = d.decode_element(1)?;
     if d.pos != d.data.len() {
         return Err(d.err("trailing bytes after document"));
     }
@@ -247,7 +249,11 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    fn decode_element(&mut self) -> Result<Element, DecodeWbxmlError> {
+    /// Decodes the element at `self.pos`, which sits `depth` levels deep.
+    fn decode_element(&mut self, depth: usize) -> Result<Element, DecodeWbxmlError> {
+        if depth > MAX_NESTING {
+            return Err(self.err(format!("elements nested deeper than {MAX_NESTING}")));
+        }
         let b = self.byte()?;
         let flags = b & (FLAG_ATTRS | FLAG_CONTENT);
         let token = b & TOKEN_MASK;
@@ -291,7 +297,7 @@ impl<'a> Decoder<'a> {
                         element.push_child(Node::text(text));
                     }
                     _ => {
-                        let child = self.decode_element()?;
+                        let child = self.decode_element(depth + 1)?;
                         element.push_child(child);
                     }
                 }
@@ -381,6 +387,28 @@ mod tests {
         let mut binary = encode(&deck);
         binary.push(0x42);
         assert!(decode(&binary).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_fails_instead_of_overflowing_the_stack() {
+        // A 2 MB stack is the std default for spawned (fleet worker)
+        // threads; a million-deep nest used to abort the process there.
+        fn nest(depth: usize) -> Vec<u8> {
+            let mut data = vec![VERSION, PUBLIC_ID, CHARSET_UTF8];
+            data.extend(std::iter::repeat_n(FLAG_CONTENT | 0x07, depth));
+            data.extend(std::iter::repeat_n(END, depth));
+            data
+        }
+        let input = nest(1_000_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || decode(&input))
+            .unwrap()
+            .join()
+            .unwrap();
+        let err = result.unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert!(decode(&nest(MAX_NESTING)).is_ok(), "exactly MAX_NESTING levels decode");
     }
 
     #[test]
