@@ -10,11 +10,13 @@
 //!
 //! A second, shared-topology column runs the same scenario on the
 //! island engine with one user per island (cells = gateways = hosts =
-//! users), at 10 k users (plus 100 k in the full grid). That is the
-//! engine's worst case for any per-island cost that scales with the
-//! population: an O(users × islands) membership scan at 10 k islands
-//! takes 10⁸ steps, so the column keeps such a path from returning
-//! unnoticed. A one-user island never queues, so the column's digest
+//! users), at 10 k and 100 k users. That is the engine's worst case for
+//! any per-island cost that scales with the population: an
+//! O(users × islands) membership scan at 10 k islands takes 10⁸ steps,
+//! and an engine that holds every island's outcome until the merge
+//! grows its peak RSS with the island count, so the column keeps both
+//! from returning unnoticed (tier 1 bounds the 100 k cell's RSS by the
+//! 10 k cell's). A one-user island never queues, so the column's digest
 //! must also equal the isolated engine's at the same population.
 //!
 //! # What an "event" is
@@ -312,19 +314,15 @@ fn sweep(populations: &[u64], threads: &[usize], shared: bool) -> Vec<ScaleCell>
 }
 
 /// Runs the full F9 grid plus the shared-topology column. `quick`
-/// drops the million-user column (and the 100 k shared cells) for smoke
-/// runs; both modes assert the cross-thread identity gate.
+/// drops the million-user column for smoke runs; both modes assert the
+/// cross-thread identity gate.
 pub fn run(quick: bool) -> ScaleNumbers {
     let populations: Vec<u64> = if quick {
         vec![10_000, 100_000]
     } else {
         vec![10_000, 100_000, 1_000_000]
     };
-    let shared_populations: Vec<u64> = if quick {
-        vec![10_000]
-    } else {
-        vec![10_000, 100_000]
-    };
+    let shared_populations: Vec<u64> = vec![10_000, 100_000];
     let threads = vec![1usize, 4, 8];
     let cells = sweep(&populations, &threads, false);
     let shared_cells = sweep(&shared_populations, &threads, true);

@@ -17,23 +17,40 @@
 //! 1. *Per-user worlds.* Each simulated user gets a fresh
 //!    [`McSystem`] (own host, own battery, own RNG streams) whose seeds
 //!    derive from the scenario seed and the **user index** via
-//!    [`simnet::rng::sub_seed`] — never from the thread or shard that
-//!    happens to execute it.
-//! 2. *Integral accumulation.* Shards accumulate
-//!    [`WorkloadCounters`] — integer sums and histograms whose merge is
-//!    exactly associative and commutative.
-//! 3. *Canonical merge order.* Shard results are merged on the
-//!    coordinating thread in shard-index order, so even the derived
-//!    floating-point statistics are computed by one fixed expression.
+//!    [`simnet::rng::sub_seed`] — never from the worker that happens to
+//!    execute it.
+//! 2. *Integral accumulation.* Workers accumulate
+//!    [`WorkloadCounters`], [`ContentionStats`], metrics and telemetry
+//!    — integer sums, maxima and histograms whose merge is exactly
+//!    associative and commutative, so how units were grouped onto
+//!    workers cannot show in the total. The derived floating-point
+//!    statistics are computed once, from the merged integers.
+//! 3. *Canonical trace order.* Traces are concatenated in global
+//!    user-index order through [`TraceMerger`], whichever worker
+//!    finished first.
+//!
+//! # One driver
+//!
+//! Every run goes through one private driver. The population is cut
+//! into **units** — an island in a shared world, a block of up to 1024
+//! consecutive users in an isolated one — and each worker thread claims
+//! the next unclaimed unit from an atomic counter, runs it with a fresh
+//! [`ShardScratch`], and folds its results into the worker's own
+//! partial. Nothing per unit outlives the unit except a traced run's
+//! per-user traces, which go straight to the coordinator. At join the
+//! partials fold through [`FleetMerger`], and the driver checks that
+//! every unit was folded exactly once.
 //!
 //! Threads here are plain `std::thread::scope` workers over disjoint
-//! data; there is no I/O to multiplex and no shared mutable state, so
-//! this stays within the workspace's no-async-runtime decision
-//! (DESIGN.md §1) — parallelism for throughput, not concurrency for
-//! coordination.
+//! data; there is no I/O to multiplex and no shared mutable state
+//! beyond the claim counter, so this stays within the workspace's
+//! no-async-runtime decision (DESIGN.md §1) — parallelism for
+//! throughput, not concurrency for coordination.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
@@ -59,9 +76,9 @@ use crate::workload::run_session;
 /// are, what they run, and over which technology stack.
 ///
 /// A `Scenario` is plain data (`Clone + Send + Sync`), so it can be
-/// shared immutably across shard threads; every piece of machinery (the
-/// host, the middleware, the RNGs) is constructed *inside* the shard
-/// from this description.
+/// shared immutably across worker threads; every piece of machinery
+/// (the host, the middleware, the RNGs) is constructed *inside* the
+/// worker from this description.
 ///
 /// ```
 /// use mcommerce_core::{Category, FleetRunner, MiddlewareKind, Scenario};
@@ -354,11 +371,11 @@ impl Scenario {
         system
     }
 
-    /// [`Scenario::system_for_user`] provisioned from a shard's scratch:
-    /// the host's database is a clone of the shard's seeded template
+    /// [`Scenario::system_for_user`] provisioned from a unit's scratch:
+    /// the host's database is a clone of the unit's seeded template
     /// (its indexes shared copy-on-write), the gateway reuses
     /// translations and the browser reuses renders across the users this
-    /// shard executes. A template clone equals a fresh seeding and memo
+    /// unit executes. A template clone equals a fresh seeding and memo
     /// hits replay byte-identical results (see [`ShardScratch`]), so the
     /// system behaves bit-for-bit like a scratch-free build — only
     /// faster.
@@ -376,7 +393,7 @@ impl Scenario {
         self.run_user_on(&mut system, user, counters);
     }
 
-    /// [`Scenario::run_user`] with a shard's scratch memos attached —
+    /// [`Scenario::run_user`] with a unit's scratch memos attached —
     /// the fleet engines' inner loop. Identical counters to
     /// [`Scenario::run_user`] (memo hits are byte-for-byte replays).
     pub fn run_user_in(&self, user: u64, counters: &mut WorkloadCounters, scratch: &ShardScratch) {
@@ -403,7 +420,7 @@ impl Scenario {
             }
         } else {
             // Jitter stream keyed by (seed, user), never by thread or
-            // shard — the determinism rule the module docs state.
+            // unit — the determinism rule the module docs state.
             let mut retry_rng = simnet::rng::rng_for_indexed(self.seed, "fleet.retry", user);
             for session in 0..self.sessions_per_user {
                 if session > 0 && self.think_secs > 0.0 {
@@ -428,7 +445,13 @@ impl Scenario {
     /// way (pinned by a unit test below).
     pub fn run_user_traced(&self, user: u64, counters: &mut WorkloadCounters) -> UserTrace {
         let guard = obs::metrics::enable();
-        let mut trace = self.run_user_traced_with(user, counters, RecorderKind::Ring, None, None);
+        let mut trace = self.run_user_traced_with(
+            user,
+            counters,
+            RecorderKind::Ring,
+            &ShardScratch::new(),
+            &mut obs::RingScratch::default(),
+        );
         drop(guard);
         trace.metrics = obs::metrics::take();
         trace
@@ -436,16 +459,17 @@ impl Scenario {
 
     /// [`Scenario::run_user_traced`] with an explicit recorder choice:
     /// [`RecorderKind::Disabled`] keeps the metrics registry on but
-    /// skips the flight-recorder ring (no events, no dumps). A shard
-    /// passes its [`obs::RingScratch`] so the ring buffer is allocated
-    /// once per shard, not once per user.
+    /// skips the flight-recorder ring (no events, no dumps). A unit of
+    /// fleet work passes its [`ShardScratch`] and [`obs::RingScratch`],
+    /// so the template and the ring buffer are built once per unit, not
+    /// once per user.
     ///
     /// Metric *scoping* is the caller's job: this function neither
-    /// enables nor drains the thread's registry, so a fleet shard can
-    /// hold one [`obs::metrics::enable`] guard across all its users and
-    /// [`obs::metrics::take`] once per shard — `Metrics::merge` is
-    /// associative and commutative, so shard-level accumulation merges
-    /// to the same fleet totals as per-user draining (pinned by
+    /// enables nor drains the thread's registry, so a fleet worker can
+    /// hold one [`obs::metrics::enable`] guard across all its units and
+    /// [`obs::metrics::take`] once — `Metrics::merge` is associative and
+    /// commutative, so worker-level accumulation merges to the same
+    /// fleet totals as per-user draining (pinned by
     /// `tests/trace_props.rs`). The returned [`UserTrace::metrics`] is
     /// therefore empty here.
     fn run_user_traced_with(
@@ -453,28 +477,18 @@ impl Scenario {
         user: u64,
         counters: &mut WorkloadCounters,
         recorder: RecorderKind,
-        scratch: Option<&ShardScratch>,
-        mut ring: Option<&mut obs::RingScratch>,
+        scratch: &ShardScratch,
+        ring: &mut obs::RingScratch,
     ) -> UserTrace {
-        let mut system = match scratch {
-            Some(scratch) => self.system_for_user_in(user, scratch),
-            None => self.system_for_user(user),
-        };
+        let mut system = self.system_for_user_in(user, scratch);
         system.set_recorder(match recorder {
-            RecorderKind::Ring => match ring.as_deref_mut() {
-                Some(ring) => {
-                    Recorder::ring_recycled(obs::recorder::DEFAULT_RING_CAPACITY, user, ring)
-                }
-                None => Recorder::ring_for_user(user),
-            },
+            RecorderKind::Ring => {
+                Recorder::ring_recycled(obs::recorder::DEFAULT_RING_CAPACITY, user, ring)
+            }
             RecorderKind::Disabled => Recorder::Disabled,
         });
         self.run_user_on(&mut system, user, counters);
-        let recorder = system.take_recorder();
-        let (events, dumps) = match ring {
-            Some(ring) => recorder.into_parts_recycling(ring),
-            None => recorder.into_parts(),
-        };
+        let (events, dumps) = system.take_recorder().into_parts_recycling(ring);
         UserTrace {
             events,
             dumps,
@@ -487,14 +501,14 @@ impl Scenario {
 /// application's users are provisioned from, and memo tables for the
 /// pure, body-keyed stages of the transaction pipeline — the gateway's
 /// translation (HTML→WML→WBXML, HTML→cHTML) and the browser's render.
-/// One scratch lives per shard thread (or per island in the shared
-/// engine); the `Rc` handles are cloned into every system the shard
-/// builds and never cross threads.
+/// The fleet driver gives every unit of work (a block of users, or an
+/// island) a fresh scratch; the `Rc` handles are cloned into every
+/// system the unit builds and never cross threads.
 ///
 /// This is the arena discipline of the F9 work: allocations that are
 /// logically transaction-lifetime (parsed documents, encoded decks,
-/// rendered lines) get built once per *distinct input* per shard and
-/// replayed by refcount for the rest of the shard's users. Because the
+/// rendered lines) get built once per *distinct input* per unit and
+/// replayed by refcount for the rest of the unit's users. Because the
 /// memoised stages are pure functions of their keys, a hit is
 /// byte-identical to a fresh computation — summaries, traces, and the
 /// cross-thread F9 digest are unchanged by scratch attachment, shard
@@ -517,7 +531,7 @@ pub struct ShardScratch {
 }
 
 impl ShardScratch {
-    /// A fresh, empty scratch for one shard thread or island.
+    /// A fresh, empty scratch for one unit of fleet work.
     pub fn new() -> Self {
         Self::default()
     }
@@ -639,7 +653,7 @@ impl FleetSummary {
 /// machine-dependent) wall-clock measurements.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// OS threads the fleet was sharded across.
+    /// Worker threads the driver spawned (see [`RunConfig::threads`]).
     pub threads: usize,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
@@ -680,9 +694,10 @@ pub enum RecorderKind {
 /// telemetry is captured, and through which recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
-    /// Worker threads the fleet is sharded across (clamped to ≥ 1 and
-    /// to the available parallel units: users in an isolated world,
-    /// islands in a shared one).
+    /// Worker threads to spawn, clamped to ≥ 1 and to the number of
+    /// units of work: islands in a shared world, blocks of up to 1024
+    /// consecutive users in an isolated one. Workers claim units one at
+    /// a time, so a slow unit delays only the worker running it.
     pub threads: usize,
     /// Whether to run with the metrics registry and per-user recorders
     /// enabled and merge a [`FleetTrace`].
@@ -772,7 +787,7 @@ pub struct FleetRun {
 /// use mcommerce_core::{FleetRunner, Scenario, Topology};
 ///
 /// let scenario = Scenario::new("storefront").users(6).seed(9);
-/// // Legacy per-user worlds (the default topology):
+/// // Private per-user worlds (the default topology):
 /// let isolated = FleetRunner::new(scenario.clone()).threads(2).run();
 /// // The same population contending for one cell, gateway and host:
 /// let shared = FleetRunner::new(scenario)
@@ -861,243 +876,221 @@ impl FleetRunner {
 
     /// Executes the fleet and returns everything it produced.
     ///
-    /// Isolated topologies run the legacy per-user engine; shared
-    /// topologies run the island engine in [`crate::shared`]. Either
-    /// way the summary — and the trace and time-series, when captured —
-    /// is byte-identical at any thread count.
+    /// Both topologies run through the one fleet driver (see the module
+    /// docs): a shared world's units are its islands, simulated by
+    /// [`crate::shared`]; an isolated world's units are blocks of
+    /// consecutive users, each in a private world. Either way the
+    /// summary — and the trace and time-series, when captured — is
+    /// byte-identical at any thread count.
     pub fn run(&self) -> FleetRun {
-        if self.topology.is_shared() {
-            self.run_shared()
-        } else if self.config.traced {
-            let (report, trace) = self.run_isolated_traced();
-            FleetRun {
-                report,
-                trace: Some(trace),
-                contention: None,
-                timeseries: None,
-            }
+        let (scenario, topology, config) = (&self.scenario, &self.topology, &self.config);
+        let started = Instant::now();
+        let shared = topology.is_shared();
+        let block = (scenario.users / config.threads.max(1) as u64).clamp(1, BLOCK_USERS);
+        let units = if shared {
+            topology.host_count()
         } else {
-            FleetRun {
-                report: self.run_isolated(),
-                trace: None,
-                contention: None,
-                timeseries: None,
+            scenario.users.div_ceil(block)
+        };
+        let run_unit = |unit: u64, scratch: &ShardScratch, partial: &mut Partial| {
+            if shared {
+                shared::run_island(scenario, topology, unit, config, scratch, partial)
+            } else {
+                let users = unit * block..((unit + 1) * block).min(scenario.users);
+                self.run_block(users, scratch, partial)
             }
-        }
-    }
-
-    /// The legacy per-user engine: users sharded across threads in
-    /// contiguous index ranges, per-shard counters **streamed** back to
-    /// the coordinator as each shard completes and folded in shard-index
-    /// order through [`FleetMerger`] — the merge overlaps the slowest
-    /// shard's tail instead of waiting for it.
-    fn run_isolated(&self) -> FleetReport {
-        let scenario = &self.scenario;
-        let started = Instant::now();
-        let shards = self.config.threads.clamp(1, scenario.users.max(1) as usize);
-        let chunk = scenario.users.div_ceil(shards as u64).max(1);
-
-        let mut merger = FleetMerger::for_shards(shards as u64);
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(u64, WorkloadCounters)>();
-            for shard in 0..shards as u64 {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut counters = WorkloadCounters::default();
-                    let scratch = ShardScratch::new();
-                    let lo = shard * chunk;
-                    let hi = (lo + chunk).min(scenario.users);
-                    for user in lo..hi {
-                        scenario.run_user_in(user, &mut counters, &scratch);
-                    }
-                    // The receiver outlives the scope, so a send only
-                    // fails after a coordinator panic — already fatal.
-                    let _ = tx.send((shard, counters));
-                });
-            }
-            drop(tx);
-            // Merge in arrival order while late shards still run; the
-            // merger's reorder buffer restores shard-index order. The
-            // channel closes when the last shard drops its sender.
-            for (shard, counters) in rx {
-                merger.push_counters(shard, counters);
-            }
+        };
+        let traces = config
+            .traced
+            .then(|| TraceMerger::for_users(scenario.users));
+        let driven = drive(units, config.threads, traces, run_unit);
+        let fold = driven.fold;
+        // Only shared worlds have shared resources to sample.
+        let timeseries = config.telemetry_bin_ns.filter(|_| shared).map(|bin_ns| {
+            fold.telemetry
+                .unwrap_or_else(|| obs::Telemetry::new(bin_ns))
         });
-
-        FleetReport {
-            threads: shards,
-            wall_secs: started.elapsed().as_secs_f64(),
-            summary: FleetSummary {
-                scenario: scenario.label(),
-                users: scenario.users,
-                workload: merger.finish().summary(scenario.label()),
-            },
-        }
-    }
-
-    /// The legacy per-user engine with telemetry: identical sharding to
-    /// [`FleetRunner::run_isolated`], but each user's trace is sent to
-    /// the coordinator the moment that user finishes. [`TraceMerger`]
-    /// streams arrivals into the fleet trace in global user-index order
-    /// — the canonical merge discipline — so at no point does any shard
-    /// hold its whole population's telemetry, which at fleet scale was
-    /// the run's peak-memory high-water mark.
-    fn run_isolated_traced(&self) -> (FleetReport, FleetTrace) {
-        let scenario = &self.scenario;
-        let recorder = self.config.recorder;
-        let started = Instant::now();
-        let shards = self.config.threads.clamp(1, scenario.users.max(1) as usize);
-        let chunk = scenario.users.div_ceil(shards as u64).max(1);
-
-        enum ShardMsg {
-            /// One user finished; the box keeps the channel payload small.
-            User(u64, Box<UserTrace>),
-            /// A whole shard finished: its counters and its accumulated
-            /// metrics registry are ready to fold.
-            Done(u64, WorkloadCounters, Box<Metrics>),
-        }
-
-        let mut fleet_merger = FleetMerger::for_shards(shards as u64);
-        let mut trace_merger = TraceMerger::for_users(scenario.users);
-        let mut shard_metrics: Vec<(u64, Metrics)> = Vec::new();
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<ShardMsg>();
-            for shard in 0..shards as u64 {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut counters = WorkloadCounters::default();
-                    let scratch = ShardScratch::new();
-                    let mut ring = obs::RingScratch::default();
-                    // One metrics scope for the whole shard: the
-                    // registry accumulates across users and drains
-                    // once, instead of paying a take-and-merge per
-                    // user. `Metrics::merge` is commutative, so the
-                    // fleet totals are unchanged.
-                    let guard = obs::metrics::enable();
-                    let lo = shard * chunk;
-                    let hi = (lo + chunk).min(scenario.users);
-                    for user in lo..hi {
-                        let trace = scenario.run_user_traced_with(
-                            user,
-                            &mut counters,
-                            recorder,
-                            Some(&scratch),
-                            Some(&mut ring),
-                        );
-                        let _ = tx.send(ShardMsg::User(user, Box::new(trace)));
-                    }
-                    drop(guard);
-                    let _ = tx.send(ShardMsg::Done(
-                        shard,
-                        counters,
-                        Box::new(obs::metrics::take()),
-                    ));
-                });
-            }
-            drop(tx);
-            for msg in rx {
-                match msg {
-                    ShardMsg::User(user, trace) => trace_merger.push(user, *trace),
-                    ShardMsg::Done(shard, counters, metrics) => {
-                        fleet_merger.push_counters(shard, counters);
-                        shard_metrics.push((shard, *metrics));
-                    }
-                }
-            }
-        });
-        let mut trace = trace_merger.finish();
-        // Shard-index order for determinism's sake; the merge is
-        // commutative anyway.
-        shard_metrics.sort_unstable_by_key(|&(shard, _)| shard);
-        for (_, metrics) in &shard_metrics {
-            trace.metrics.merge(metrics);
-        }
-
-        (
-            FleetReport {
-                threads: shards,
+        FleetRun {
+            report: FleetReport {
+                threads: driven.workers,
                 wall_secs: started.elapsed().as_secs_f64(),
                 summary: FleetSummary {
                     scenario: scenario.label(),
                     users: scenario.users,
-                    workload: fleet_merger.finish().summary(scenario.label()),
+                    workload: fold.counters.summary(scenario.label()),
                 },
             },
-            trace,
-        )
-    }
-
-    /// The shared-world island engine (see [`crate::shared`]): islands
-    /// sharded across threads, outcomes merged in island-index order,
-    /// traces re-sorted into global user-index order.
-    fn run_shared(&self) -> FleetRun {
-        let scenario = &self.scenario;
-        let started = Instant::now();
-        let islands = self.topology.host_count();
-        let threads = self.config.threads.clamp(1, islands.max(1) as usize);
-
-        let outcomes = shared::run_islands(
-            scenario,
-            &self.topology,
-            threads,
-            self.config.traced,
-            self.config.recorder,
-            self.config.telemetry_bin_ns,
-        );
-
-        // Users land in island order; the canonical trace order is the
-        // global user index, same as the isolated engine. The merger's
-        // reorder buffer restores it without a collect-then-sort pass.
-        // Islands are the shards of the counter fold.
-        let mut merger = FleetMerger::for_shards(islands);
-        let mut stats = ContentionStats::default();
-        let mut island_metrics = obs::Metrics::default();
-        let mut trace_merger = self
-            .config
-            .traced
-            .then(|| TraceMerger::for_users(scenario.users));
-        let mut timeseries = self.config.telemetry_bin_ns.map(obs::Telemetry::new);
-        for (island, outcome) in (0..).zip(outcomes) {
-            merger.push_counters(island, outcome.counters);
-            stats.merge(&outcome.stats);
-            if let Some(merger) = trace_merger.as_mut() {
-                for (user, trace) in outcome.traces {
-                    merger.push(user, trace);
-                }
-            }
-            if let Some(metrics) = outcome.metrics.as_ref() {
-                island_metrics.merge(metrics);
-            }
-            // Island series are disjoint (names embed global resource
-            // indices) and bins merge commutatively, so fold order is
-            // irrelevant — the export walks names canonically anyway.
-            if let (Some(merged), Some(island)) = (timeseries.as_mut(), outcome.telemetry) {
-                merged.merge(island);
-            }
-        }
-        // Metrics interleave inside an island, so they merge at island
-        // granularity (island-index order) on top of the streamed trace.
-        let trace = trace_merger.map(|merger| {
-            let mut trace = merger.finish();
-            trace.metrics.merge(&island_metrics);
-            trace
-        });
-
-        let report = FleetReport {
-            threads,
-            wall_secs: started.elapsed().as_secs_f64(),
-            summary: FleetSummary {
-                scenario: scenario.label(),
-                users: scenario.users,
-                workload: merger.finish().summary(scenario.label()),
-            },
-        };
-        FleetRun {
-            report,
-            trace,
-            contention: Some(stats),
+            trace: driven.trace,
+            contention: shared.then_some(fold.stats),
             timeseries,
         }
+    }
+
+    /// One isolated unit: users `users`, each in a private world built
+    /// from `scratch`, folded into `partial`. Returns the users' traces
+    /// when the run is traced.
+    fn run_block(
+        &self,
+        users: Range<u64>,
+        scratch: &ShardScratch,
+        partial: &mut Partial,
+    ) -> UnitTraces {
+        let (scenario, recorder) = (&self.scenario, self.config.recorder);
+        let counters = &mut partial.counters;
+        if !self.config.traced {
+            users.for_each(|user| scenario.run_user_in(user, counters, scratch));
+            return Vec::new();
+        }
+        let mut ring = obs::RingScratch::default();
+        users
+            .map(|user| {
+                let trace =
+                    scenario.run_user_traced_with(user, counters, recorder, scratch, &mut ring);
+                (user, trace)
+            })
+            .collect()
+    }
+}
+
+/// Users per unit of work in an isolated world. Large enough that a
+/// unit's fixed cost (claiming it, seeding its scratch) is spread thin;
+/// small enough that a traced run's reorder buffer holds about one
+/// block per worker. [`FleetRunner::run`] shrinks blocks to
+/// `users / threads` for small fleets, so every thread still gets one.
+const BLOCK_USERS: u64 = 1024;
+
+/// One unit's traces: `(global user index, trace)` pairs, empty when
+/// the run is untraced.
+pub(crate) type UnitTraces = Vec<(u64, UserTrace)>;
+
+/// What one worker folded from the units it claimed. Every field merges
+/// by integer sums and maxima, so which worker ran which unit cannot
+/// show in the total.
+#[derive(Debug, Default)]
+pub(crate) struct Partial {
+    pub(crate) counters: WorkloadCounters,
+    pub(crate) stats: ContentionStats,
+    /// Shared-resource series, absent until a unit records some.
+    pub(crate) telemetry: Option<obs::Telemetry>,
+    metrics: Metrics,
+    units: u64,
+}
+
+impl Partial {
+    /// Folds one unit's (or one worker's) series into this partial.
+    pub(crate) fn merge_telemetry(&mut self, telemetry: obs::Telemetry) {
+        match self.telemetry.as_mut() {
+            Some(mine) => mine.merge(telemetry),
+            None => self.telemetry = Some(telemetry),
+        }
+    }
+}
+
+/// What [`drive`] returns: the fleet-wide fold and, for traced runs,
+/// the merged trace.
+struct Driven {
+    workers: usize,
+    fold: Partial,
+    trace: Option<FleetTrace>,
+}
+
+/// The fleet driver. Spawns `threads` workers (clamped to 1..=units);
+/// each claims unit indices from one atomic counter, runs `run_unit`
+/// with a fresh [`ShardScratch`], and folds into its own [`Partial`].
+/// A run is traced when it is given `traces`: each unit's per-user
+/// traces then go to that merger as the unit finishes, and each worker
+/// holds the metrics registry open and drains it once at the end.
+///
+/// # Panics
+///
+/// If a unit panics (the panic is resumed on the caller's thread), or
+/// if the number of units folded differs from `units`.
+fn drive<F>(units: u64, threads: usize, mut traces: Option<TraceMerger>, run_unit: F) -> Driven
+where
+    F: Fn(u64, &ShardScratch, &mut Partial) -> UnitTraces + Sync,
+{
+    let workers = threads.clamp(1, units.max(1) as usize);
+    let traced = traces.is_some();
+    let next = AtomicU64::new(0);
+    let partials: Vec<Partial> = thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<UnitTraces>();
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (tx, next, run_unit) = (tx.clone(), &next, &run_unit);
+                scope.spawn(move || {
+                    let metrics = traced.then(obs::metrics::enable);
+                    let mut partial = Partial::default();
+                    loop {
+                        // The counter hands out indices and publishes no
+                        // data (every input was shared before the spawn),
+                        // so a relaxed increment is enough to claim.
+                        let unit = next.fetch_add(1, Ordering::Relaxed);
+                        if unit >= units {
+                            break;
+                        }
+                        let unit_traces = run_unit(unit, &ShardScratch::new(), &mut partial);
+                        partial.units += 1;
+                        if traced {
+                            // The receiver outlives the scope, so a send
+                            // only fails after a coordinator panic.
+                            let _ = tx.send(unit_traces);
+                        }
+                    }
+                    drop(metrics);
+                    if traced {
+                        partial.metrics = obs::metrics::take();
+                    }
+                    partial
+                })
+            })
+            .collect();
+        drop(tx);
+        // The channel closes when the last worker drops its sender —
+        // by finishing or by panicking.
+        for unit_traces in rx {
+            let merger = traces.as_mut().expect("only traced runs send traces");
+            for (user, trace) in unit_traces {
+                merger.push(user, trace);
+            }
+        }
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+
+    let mut merger = FleetMerger::for_shards(workers as u64);
+    let mut fold = Partial::default();
+    for (worker, partial) in (0..).zip(partials) {
+        merger.push_counters(worker, partial.counters);
+        fold.stats.merge(&partial.stats);
+        fold.metrics.merge(&partial.metrics);
+        fold.units += partial.units;
+        if let Some(telemetry) = partial.telemetry {
+            fold.merge_telemetry(telemetry);
+        }
+    }
+    assert_eq!(
+        fold.units, units,
+        "fleet driver folded {} of {units} units",
+        fold.units
+    );
+    fold.counters = merger.finish();
+    // Metrics interleave inside a unit, so they merge per worker on top
+    // of the per-user traces.
+    let trace = traces.map(|merger| {
+        let mut trace = merger.finish();
+        trace.metrics.merge(&fold.metrics);
+        trace
+    });
+    Driven {
+        workers,
+        fold,
+        trace,
     }
 }
 
@@ -1128,6 +1121,47 @@ mod tests {
             .traced(true)
             .run();
         (run.report, run.trace.expect("traced run carries a trace"))
+    }
+
+    /// Drives `units` fake units on `threads` workers. Each unit records
+    /// one failure named after itself and returns one empty trace for a
+    /// user of the same index, so a unit run twice or never shows in
+    /// both the counters and the trace merge.
+    fn drive_fake(units: u64, threads: usize) -> Driven {
+        let fake = |unit: u64, _: &ShardScratch, partial: &mut Partial| {
+            let report = crate::report::TransactionReport::failed(format!("unit {unit}"));
+            partial.counters.record(&report);
+            vec![(unit, UserTrace::default())]
+        };
+        drive(units, threads, Some(TraceMerger::new()), fake)
+    }
+
+    #[test]
+    fn the_driver_folds_every_unit_exactly_once() {
+        for units in [0u64, 1, 2, 5, 7, 100] {
+            for threads in [1usize, 2, 3, 8, 64] {
+                let driven = drive_fake(units, threads);
+                assert_eq!(driven.workers, threads.min(units.max(1) as usize));
+                assert_eq!(driven.fold.units, units);
+                let counters = &driven.fold.counters;
+                assert_eq!(
+                    counters.attempted, units,
+                    "{units} units on {threads} threads"
+                );
+                assert_eq!(counters.failures.len() as u64, units);
+                assert!(counters.failures.values().all(|&n| n == 1));
+                assert!(driven.trace.is_some());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 3 failed")]
+    fn a_panicking_unit_panics_the_run() {
+        drive(8, 2, None, |unit, _, _| {
+            assert_ne!(unit, 3, "unit 3 failed");
+            Vec::new()
+        });
     }
 
     #[test]

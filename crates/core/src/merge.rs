@@ -1,22 +1,22 @@
-//! Streaming canonical-order merge of shard results.
+//! Streaming canonical-order merge of worker results.
 //!
-//! Both fleet engines promise one merge discipline: counters fold in
-//! shard-index order, traces concatenate in global user-index order —
-//! that is what makes the output byte-identical at any thread count.
-//! The original implementations bought that order by *collecting first*:
-//! every shard's full result was held in a `Vec` until the last shard
-//! finished, then folded (isolated) or sorted (shared). At F9
-//! populations that is the peak-memory high-water mark of the whole
-//! run, and the merge only starts after the slowest shard ends.
+//! The fleet driver promises one merge discipline: counters fold into
+//! one total whatever the grouping, traces concatenate in global
+//! user-index order — that is what makes the output byte-identical at
+//! any thread count. Each worker folds the units it claimed into its
+//! own partial; at join the partials' counters go through a
+//! [`FleetMerger`] (one shard per worker), and each unit's traces go to
+//! a [`TraceMerger`] as soon as the unit finishes, so no worker holds
+//! more than the unit it is running.
 //!
-//! The mergers here stream instead. Each accepts results in **arrival**
-//! order — whichever shard or user finishes first — and folds them in
-//! **canonical** order through a reorder buffer: a result that arrives
-//! in its canonical slot is folded immediately (and releases any
-//! buffered successors); an early arrival waits in a `BTreeMap` keyed
-//! by its index. The output is therefore bit-identical to the
-//! collect-then-sort implementation for every arrival interleaving — a
-//! property `tests/merge_props.rs` pins with randomised chunkings.
+//! Both mergers accept results in **arrival** order — whichever worker
+//! or user finishes first — and fold them in **canonical** order
+//! through a reorder buffer: a result that arrives in its canonical
+//! slot is folded immediately (and releases any buffered successors);
+//! an early arrival waits in a `BTreeMap` keyed by its index. The
+//! output is therefore bit-identical to a collect-then-sort merge for
+//! every arrival interleaving — a property `tests/merge_props.rs` pins
+//! with randomised chunkings.
 
 use std::collections::BTreeMap;
 
@@ -115,9 +115,7 @@ impl FleetMerger {
 /// Concatenates per-user traces into a [`FleetTrace`] in strict global
 /// user-index order, accepting users in any arrival order.
 ///
-/// Replaces the shared engine's collect-everything-then-`sort_by_key`
-/// and the isolated engine's per-shard `Vec<UserTrace>` accumulation: a
-/// user whose canonical slot is open streams straight into the output
+/// A user whose canonical slot is open streams straight into the output
 /// (events appended, dumps appended, metrics merged) and is freed;
 /// only users that finish ahead of a canonical predecessor wait in the
 /// reorder buffer.

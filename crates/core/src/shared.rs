@@ -1,7 +1,7 @@
 //! The shared-world contention engine.
 //!
-//! The legacy fleet engine gives every user a private world, so nothing
-//! ever queues. This module runs a [`Scenario`] on a shared
+//! An isolated fleet gives every user a private world, so nothing ever
+//! queues. This module runs a [`Scenario`] on a shared
 //! [`Topology`]: stations in one cell contend for its airtime, one WAP
 //! gateway transcodes for everyone behind it, and one host computer
 //! (web server + database + caches) serves the whole population.
@@ -11,12 +11,13 @@
 //! The topology's modulo wiring partitions the world into **islands** —
 //! one host, the gateways that reach it, their cells, and the users in
 //! those cells. Nothing crosses an island boundary, so islands are the
-//! unit of parallelism: each island is simulated sequentially and
-//! deterministically on one thread, islands are distributed over
-//! threads in contiguous index ranges, and island results are merged in
-//! island-index order. That is the whole cross-shard story — the
-//! deterministic "event exchange" degenerates to *no* exchange, by
-//! construction (DESIGN.md §2.15 and the ADR discuss the alternatives).
+//! units of the fleet driver (see [`crate::fleet`]): each island is
+//! simulated sequentially and deterministically on whichever worker
+//! claimed it, and folded into that worker's partial with integer,
+//! order-independent merges; traces are re-ordered by global user
+//! index. That is the whole cross-island story — the deterministic
+//! "event exchange" degenerates to *no* exchange, by construction
+//! (DESIGN.md §2.15 and the ADR discuss the alternatives).
 //!
 //! An island finds its gateways, cells and users by arithmetic on the
 //! wiring rules (`Topology::island_members`), never by scanning the
@@ -26,9 +27,9 @@
 //! # Inside an island
 //!
 //! Each user still owns a per-user [`McSystem`] (their station, battery,
-//! RNG streams — seeded by user index exactly as the legacy engine
-//! does), but only the per-user parts are provisioned: the system is
-//! built around an empty placeholder host, because the *shared* pieces
+//! RNG streams — seeded by user index exactly as an isolated world
+//! seeds them), but only the per-user parts are provisioned: the system
+//! is built around an empty placeholder host, because the *shared* pieces
 //! are swapped in around every transaction. The island's one
 //! [`HostComputer`] takes the placeholder's place, and the gateway's one
 //! shared [`middleware::ContentCache`] replaces the
@@ -43,12 +44,11 @@
 //! into the transaction's latency and the user's clock. A zero-service
 //! stage never touches its server, so with one user — or no overlap —
 //! every wait is exactly zero and the shared world reproduces the
-//! legacy per-user world bit for bit (pinned by
+//! isolated per-user world bit for bit (pinned by
 //! `tests/shared_world_props.rs`).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::thread;
 
 use hostsite::db::Database;
 use hostsite::HostComputer;
@@ -60,14 +60,17 @@ use simnet::rng::{rng_for_indexed, sub_seed};
 use wireless::CellAirtime;
 
 use crate::apps::{for_category, Step};
-use crate::fleet::{RecorderKind, Scenario, UserTrace};
-use crate::report::{TransactionReport, WorkloadCounters};
+use crate::fleet::{
+    Partial, RecorderKind, RunConfig, Scenario, ShardScratch, UnitTraces, UserTrace,
+};
+use crate::report::TransactionReport;
 use crate::system::{CommerceSystem, McSystem};
 use crate::topology::Topology;
 use crate::workload::check_expectation;
 
-/// Contention telemetry a shared-world run accumulates, merged across
-/// islands in island-index order (deterministic at any thread count).
+/// Contention telemetry a shared-world run accumulates across islands.
+/// Every field merges by integer sum or maximum, so the total is the
+/// same whichever worker ran which island.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContentionStats {
     /// Transactions executed across the shared world.
@@ -107,7 +110,8 @@ impl ContentionStats {
         self.gateway_cache_hits as f64 / total as f64
     }
 
-    /// Folds another island's stats into this one (island order!).
+    /// Folds another island's (or worker's) stats into this one. Order
+    /// does not matter.
     pub fn merge(&mut self, other: &ContentionStats) {
         self.transactions += other.transactions;
         self.contended_transactions += other.contended_transactions;
@@ -120,21 +124,6 @@ impl ContentionStats {
         self.islands += other.islands;
         self.horizon_ns = self.horizon_ns.max(other.horizon_ns);
     }
-}
-
-/// What one island's simulation produces.
-pub(crate) struct IslandOutcome {
-    pub counters: WorkloadCounters,
-    /// `(global user index, trace)` pairs, present iff tracing was on.
-    pub traces: Vec<(u64, UserTrace)>,
-    /// Island-level metrics (users interleave inside an island, so
-    /// metrics are per island, merged in island order).
-    pub metrics: Option<obs::Metrics>,
-    pub stats: ContentionStats,
-    /// Fixed-bin resource series, present iff telemetry was on. Series
-    /// names embed global resource indices, so island sets are disjoint
-    /// and merge into one canonical fleet-wide set.
-    pub telemetry: Option<Telemetry>,
 }
 
 /// The island's registered series handles plus the host queue-depth
@@ -228,79 +217,29 @@ enum Action {
     Txn(Box<Step>),
 }
 
-/// Runs every island of the shared world across `threads` OS threads,
-/// returning island outcomes in island-index order.
-pub(crate) fn run_islands(
-    scenario: &Scenario,
-    topology: &Topology,
-    threads: usize,
-    traced: bool,
-    recorder: RecorderKind,
-    telemetry_bin_ns: Option<u64>,
-) -> Vec<IslandOutcome> {
-    let islands = topology.host_count();
-    let workers = threads.clamp(1, islands.max(1) as usize);
-    let chunk = islands.div_ceil(workers as u64).max(1);
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers as u64)
-            .map(|worker| {
-                let scenario = &*scenario;
-                let topology = &*topology;
-                scope.spawn(move || {
-                    let lo = worker * chunk;
-                    let hi = (lo + chunk).min(islands);
-                    (lo..hi)
-                        .map(|island| {
-                            run_island(
-                                scenario,
-                                topology,
-                                island,
-                                traced,
-                                recorder,
-                                telemetry_bin_ns,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("island worker panicked"))
-            .collect()
-    })
-}
-
-/// Simulates one island sequentially and deterministically.
-fn run_island(
+/// Simulates island `island` sequentially and deterministically — one
+/// unit of the fleet driver — folding its counters, contention stats
+/// and series into `partial`. Returns the island's per-user traces when
+/// the run is traced.
+pub(crate) fn run_island(
     scenario: &Scenario,
     topology: &Topology,
     island: u64,
-    traced: bool,
-    recorder: RecorderKind,
-    telemetry_bin_ns: Option<u64>,
-) -> IslandOutcome {
+    config: &RunConfig,
+    scratch: &ShardScratch,
+    partial: &mut Partial,
+) -> UnitTraces {
     let members = topology.island_members(island, scenario.users);
-    let mut stats = ContentionStats {
-        islands: 1,
-        ..ContentionStats::default()
-    };
+    partial.stats.islands += 1;
     if members.users.is_empty() {
-        return IslandOutcome {
-            counters: WorkloadCounters::default(),
-            traces: Vec::new(),
-            metrics: traced.then(obs::Metrics::default),
-            stats,
-            telemetry: telemetry_bin_ns.map(Telemetry::new),
-        };
+        return Vec::new();
     }
 
     let app = for_category(scenario.app);
 
-    // The island's shared host: same seed derivation as the legacy
+    // The island's shared host: same seed derivation as the isolated
     // engine gives user `island`'s private host, so a one-host,
-    // one-user world is bit-identical to legacy user 0.
+    // one-user world is bit-identical to isolated user 0.
     let mut shared_host = scenario.host_for(island, crate::fleet::seeded_db(scenario.app));
     scenario.cache.apply_to_host(&mut shared_host);
     // Seed rows installed above are already durable; only live-traffic
@@ -328,7 +267,7 @@ fn run_island(
         cpu: FcfsServer::new(),
         wal: FcfsServer::new(),
     };
-    let mut telemetry = telemetry_bin_ns.map(|bin_ns| {
+    let mut telemetry = config.telemetry_bin_ns.map(|bin_ns| {
         IslandTelemetry::new(
             bin_ns,
             island,
@@ -339,18 +278,17 @@ fn run_island(
     });
 
     // Per-user state: the private system (station, battery, RNG streams
-    // — exactly the legacy per-user build, around an empty placeholder
-    // host that is never served) plus the queued actions. The island
-    // owns one scratch; memo hits replay byte-identically.
-    let scratch = crate::fleet::ShardScratch::new();
+    // — exactly the isolated per-user build, around an empty placeholder
+    // host that is never served) plus the queued actions. Memo hits
+    // from the island's scratch replay byte-identically.
     let mut states: Vec<UserState> = members
         .users
         .iter()
         .map(|&(user, cell)| {
             let mut system = scenario.system_around(user, placeholder_host());
             scratch.attach(&mut system);
-            if traced {
-                system.set_recorder(match recorder {
+            if config.traced {
+                system.set_recorder(match config.recorder {
                     RecorderKind::Ring => Recorder::ring_for_user(user),
                     RecorderKind::Disabled => Recorder::Disabled,
                 });
@@ -377,8 +315,6 @@ fn run_island(
         })
         .collect();
 
-    let metrics_guard = traced.then(obs::metrics::enable);
-
     // The deterministic event loop: earliest ready time first, global
     // user index breaking ties. Each user has at most one outstanding
     // event, so keys are unique.
@@ -388,7 +324,6 @@ fn run_island(
             queue.push(state.system.sim_clock_ns(), state.user);
         }
     }
-    let mut counters = WorkloadCounters::default();
     while let Some((_, user)) = queue.pop() {
         let idx = states
             .binary_search_by_key(&user, |s| s.user)
@@ -422,10 +357,10 @@ fn run_island(
                     &mut cell_air,
                     &mut gateway_cpu,
                     &mut host,
-                    &mut stats,
+                    &mut partial.stats,
                     telemetry.as_mut(),
                 );
-                counters.record(&report);
+                partial.counters.record(&report);
             }
         }
         if !state.actions.is_empty() {
@@ -433,9 +368,7 @@ fn run_island(
         }
     }
 
-    drop(metrics_guard);
-    let metrics = traced.then(obs::metrics::take);
-
+    let stats = &mut partial.stats;
     for cache in gateway_caches.iter().flatten() {
         stats.gateway_cache_hits += cache.hits();
         stats.gateway_cache_misses += cache.misses();
@@ -446,33 +379,24 @@ fn run_island(
     for state in &states {
         stats.horizon_ns = stats.horizon_ns.max(state.system.sim_clock_ns());
     }
-
-    let traces = if traced {
-        states
-            .iter_mut()
-            .map(|state| {
-                let (events, dumps) = state.system.take_recorder().into_parts();
-                (
-                    state.user,
-                    UserTrace {
-                        events,
-                        dumps,
-                        metrics: obs::Metrics::default(),
-                    },
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    IslandOutcome {
-        counters,
-        traces,
-        metrics,
-        stats,
-        telemetry: telemetry.map(|tele| tele.t),
+    if let Some(tele) = telemetry {
+        partial.merge_telemetry(tele.t);
     }
+    if !config.traced {
+        return Vec::new();
+    }
+    states
+        .iter_mut()
+        .map(|state| {
+            let (events, dumps) = state.system.take_recorder().into_parts();
+            let trace = UserTrace {
+                events,
+                dumps,
+                ..UserTrace::default()
+            };
+            (state.user, trace)
+        })
+        .collect()
 }
 
 /// The host every island user's own system is built around. The engine
@@ -604,7 +528,7 @@ fn charge_contention(
         report.breakdown.host_secs += host_wait as f64 / 1e9;
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
-        // this entirely, preserving bit-identity with the legacy world.
+        // this entirely, preserving bit-identity with the isolated world.
         state.system.idle(total_wait as f64 / 1e9);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's architecture chains stations through a wireless cell, a
 //! WAP gateway and the wired WAN to a host computer. Under light load
-//! each user may as well own that whole chain — the legacy per-user
+//! each user may as well own that whole chain — the isolated per-user
 //! world. Under *heavy traffic* (ROADMAP item 1) the chain is shared:
 //! many stations contend for one cell's airtime, one gateway transcodes
 //! for everyone behind it, one host serves the population.
@@ -13,10 +13,10 @@
 //! `c mod gateways`, gateway *g* reaches host `g mod hosts` — so the
 //! **island** of a user (the connected component around one host) is a
 //! pure function of `(topology, user index, user count)`, never of
-//! threads. Islands are what the fleet engine parallelises over.
+//! threads. Islands are the units the fleet driver hands to workers.
 //!
-//! [`Topology::isolated`] is the degenerate one-user-per-world topology:
-//! the legacy engine, bit for bit.
+//! [`Topology::isolated`] is the degenerate one-user-per-world topology,
+//! whose units are blocks of consecutive users instead.
 
 /// How users are assigned to cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,9 +61,9 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// The legacy degenerate topology: every user owns a private world
-    /// (own host, own gateway, own cell). This is the default, and runs
-    /// the exact per-user engine.
+    /// The degenerate topology: every user owns a private world (own
+    /// host, own gateway, own cell). This is the default; its users
+    /// never queue.
     #[must_use]
     pub fn isolated() -> Self {
         Topology {

@@ -62,15 +62,17 @@
 #   scale smoke      — the F9 fleet-scale experiment runs its quick
 #                      grid ({10k, 100k} users × {1, 4, 8} threads,
 #                      each cell in its own subprocess) plus its
-#                      shared-topology column (10k users on 10k one-
-#                      user islands × {1, 4, 8} threads), emits
-#                      well-formed BENCH_scale.json with the full
+#                      shared-topology column ({10k, 100k} users on as
+#                      many one-user islands × {1, 4, 8} threads),
+#                      emits well-formed BENCH_scale.json with the full
 #                      schema, the merged-counter digest is identical
 #                      across thread counts at every population on
 #                      both engines (and the shared column equals the
-#                      isolated digest), and peak RSS at 100k users
-#                      stays under 128 MB (the engine streams; memory
-#                      must not scale with the population);
+#                      isolated digest), peak RSS at 100k users stays
+#                      under 128 MB, and 100k one-user islands peak at
+#                      most 1.5x the RSS of 10k at each thread count
+#                      (the engine streams; memory must not scale with
+#                      the population or the island count);
 #   db smoke         — the F11 durable-storage experiment runs end to
 #                      end, emits well-formed BENCH_db.json, the
 #                      explicit zero-cost durability policy is byte-
@@ -265,10 +267,23 @@ for c in cells:
         assert c["peak_rss_bytes"] < 128 * 1024 * 1024, (
             f"peak RSS {c['peak_rss_bytes']} exceeds the 128 MB budget at 100k users"
         )
+assert 100_000 in shared_pops, "F9 shared column lacks the 100k-island cells"
+for t in threads:
+    small = next(c for c in shared if c["users"] == 10_000 and c["threads"] == t)
+    big = next(c for c in shared if c["users"] == 100_000 and c["threads"] == t)
+    assert big["digest"] == "db7f01b0a23551be", (
+        f"100k one-user islands at {t} threads: digest {big['digest']} "
+        f"!= isolated db7f01b0a23551be"
+    )
+    if small["peak_rss_bytes"] > 0:
+        assert big["peak_rss_bytes"] <= 1.5 * small["peak_rss_bytes"], (
+            f"{t} threads: 100k one-user islands peak at {big['peak_rss_bytes']} B, "
+            f"over 1.5x the 10k cell's {small['peak_rss_bytes']} B"
+        )
 best = max(c["events_per_sec"] for c in cells)
 print(f"scale gate: {len(cells)}-cell grid + {len(shared)} shared cells complete; "
       f"digests identical at every population; 100k-user RSS under 128 MB; "
-      f"best {best:,.0f} events/s")
+      f"100k-island RSS within 1.5x of 10k; best {best:,.0f} events/s")
 PY
 cargo run --release -p bench --bin report -- --quick --f11
 python3 -m json.tool BENCH_db.json > /dev/null

@@ -8,7 +8,7 @@
 //! 3. Every failed transaction leaves a flight-recorder dump naming the
 //!    layer that failed it.
 
-use mcommerce_core::{Category, FleetReport, FleetRunner, FleetTrace, Scenario};
+use mcommerce_core::{Category, FleetReport, FleetRunner, FleetTrace, Scenario, Topology};
 use wireless::WlanStandard;
 
 // These shims keep the assertions readable while exercising the
@@ -33,25 +33,45 @@ fn scenario() -> Scenario {
         .seed(2003)
 }
 
+/// Byte-identity at 1, 2, 4 and 8 threads, on private worlds and on four
+/// shared islands, for the fixed scenario and at the edges of the
+/// isolated engine's 1024-user blocks (one block plus one user, and an
+/// empty fleet).
 #[test]
 fn fleet_trace_is_byte_identical_across_thread_counts() {
-    let scenario = scenario();
-    let (_, t1) = run_traced_on(&scenario, 1);
-    let (_, t2) = run_traced_on(&scenario, 2);
-    let (_, t8) = run_traced_on(&scenario, 8);
-
-    assert!(!t1.events.is_empty(), "traced fleet must produce events");
-    let jsonl = t1.to_jsonl();
-    assert_eq!(jsonl, t2.to_jsonl(), "JSONL must not depend on threads");
-    assert_eq!(jsonl, t8.to_jsonl(), "JSONL must not depend on threads");
-
-    let chrome = t1.to_chrome_json();
-    assert_eq!(chrome, t2.to_chrome_json());
-    assert_eq!(chrome, t8.to_chrome_json());
-
-    // The merged metrics registry obeys the same contract.
-    assert_eq!(t1.metrics.to_json(), t2.metrics.to_json());
-    assert_eq!(t1.metrics.to_json(), t8.metrics.to_json());
+    let islands = Topology::shared().cells(8).gateways(4).hosts(4);
+    for users in [12, 1025, 0] {
+        let scenario = scenario().users(users);
+        for topology in [Topology::isolated(), islands] {
+            let traced_on = |threads| {
+                let run = FleetRunner::new(scenario.clone())
+                    .topology(topology)
+                    .threads(threads)
+                    .traced(true)
+                    .run();
+                run.trace.expect("traced run carries a trace")
+            };
+            let t1 = traced_on(1);
+            assert_eq!(
+                t1.events.is_empty(),
+                users == 0,
+                "traced fleet must produce events"
+            );
+            let (jsonl, chrome) = (t1.to_jsonl(), t1.to_chrome_json());
+            for threads in [2, 4, 8] {
+                let t = traced_on(threads);
+                let at = format!("{users} users on {topology:?} at {threads} threads");
+                assert_eq!(
+                    jsonl,
+                    t.to_jsonl(),
+                    "JSONL must not depend on threads: {at}"
+                );
+                assert_eq!(chrome, t.to_chrome_json(), "{at}");
+                // The merged metrics registry obeys the same contract.
+                assert_eq!(t1.metrics.to_json(), t.metrics.to_json(), "{at}");
+            }
+        }
+    }
 }
 
 #[test]
